@@ -21,6 +21,28 @@ from ssiarch.kb import (
 )
 
 
+#: Claim finding per matrix level: severity, rule, and the message phrase
+#: that follows the claimant, with {} standing for the claimed NFR.
+_CLAIM_FINDINGS = {
+    ResponsibilityLevel.NONE: (
+        Severity.ERROR,
+        "claims.no-responsibility",
+        "claims {} but holds no responsibility for it",
+    ),
+    ResponsibilityLevel.SECONDARY: (
+        Severity.WARNING,
+        "claims.secondary",
+        "claims {} but only supports its fulfilment",
+    ),
+    ResponsibilityLevel.TERTIARY: (
+        Severity.WARNING,
+        "claims.tertiary",
+        "claims {} but only benefits from its fulfilment",
+    ),
+    ResponsibilityLevel.PRIMARY: (Severity.INFO, "claims.ok", "legitimately claims {}"),
+}
+
+
 def check_claims(model: SystemModel, kb: KnowledgeBase) -> list[Finding]:
     """Check every (actor, claimed NFR) pair against the matrix.
 
@@ -32,53 +54,14 @@ def check_claims(model: SystemModel, kb: KnowledgeBase) -> list[Finding]:
     kind while the cell is not primary is an ownership error."""
     findings: list[Finding] = []
     for actor in model.actors:
+        who = f"{actor.kind.long_name} {actor.id!r}"
         for nfr in actor.claims:
             level = kb.lookup_responsibility(nfr, actor.kind)
-            name = kb.entry(nfr).name
-            if level is ResponsibilityLevel.NONE:
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "claims.no-responsibility",
-                        actor.id,
-                        f"{actor.kind.long_name} {actor.id!r} claims {nfr.name} "
-                        f"({name}) but holds no responsibility for it",
-                        actor.span,
-                    )
-                )
-            elif level is ResponsibilityLevel.SECONDARY:
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        "claims.secondary",
-                        actor.id,
-                        f"{actor.kind.long_name} {actor.id!r} claims {nfr.name} "
-                        f"({name}) but only supports its fulfilment",
-                        actor.span,
-                    )
-                )
-            elif level is ResponsibilityLevel.TERTIARY:
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        "claims.tertiary",
-                        actor.id,
-                        f"{actor.kind.long_name} {actor.id!r} claims {nfr.name} "
-                        f"({name}) but only benefits from its fulfilment",
-                        actor.span,
-                    )
-                )
-            else:
-                findings.append(
-                    Finding(
-                        Severity.INFO,
-                        "claims.ok",
-                        actor.id,
-                        f"{actor.kind.long_name} {actor.id!r} legitimately claims "
-                        f"{nfr.name} ({name})",
-                        actor.span,
-                    )
-                )
+            what = f"{nfr.name} ({kb.entry(nfr).name})"
+            severity, rule, phrase = _CLAIM_FINDINGS[level]
+            findings.append(
+                Finding(severity, rule, actor.id, f"{who} {phrase.format(what)}", actor.span)
+            )
             if (
                 actor.kind not in kb.ownership[nfr]
                 and level is not ResponsibilityLevel.PRIMARY
@@ -88,8 +71,7 @@ def check_claims(model: SystemModel, kb: KnowledgeBase) -> list[Finding]:
                         Severity.ERROR,
                         "claims.ownership",
                         actor.id,
-                        f"{actor.kind.long_name} {actor.id!r} claims {nfr.name} "
-                        f"({name}) without owning it or holding primary responsibility",
+                        f"{who} claims {what} without owning it or holding primary responsibility",
                         actor.span,
                     )
                 )

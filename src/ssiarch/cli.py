@@ -19,14 +19,14 @@ from pathlib import Path
 from ssiarch import analysis, dsl, graph as graphmod, sim
 from ssiarch.extension import ExtensionError, load_extension, merge
 from ssiarch.findings import Finding, Severity
-from ssiarch.kb import ACTOR_ORDER, KbError, KnowledgeBase, builtin_kb
+from ssiarch.kb import DependencyRelation, KbError, KnowledgeBase, builtin_kb
 from ssiarch.report import Report, emit_human, emit_json, emit_markdown
-
-_NODE_ORDER = {kind: i for i, kind in enumerate(ACTOR_ORDER)}
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
+
+_GRAPH_FORMATS = ("dot", "tsv")
 
 
 class CliError(Exception):
@@ -38,6 +38,8 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # undecodable bytes, or a NUL in the path
+        raise CliError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_kb(extension_paths: list[str]) -> KnowledgeBase:
@@ -61,33 +63,19 @@ def _load_model(path: str | None, kb: KnowledgeBase) -> dsl.ResolveResult:
     return result
 
 
-def _relations_json(relations) -> list[dict]:
-    ordered = sorted(
-        relations, key=lambda r: (_NODE_ORDER[r.depender], _NODE_ORDER[r.dependee], r.nfr)
-    )
-    return [
-        {
-            "depender": r.depender.code,
-            "dependee": r.dependee.code,
-            "nfr": r.nfr.name,
-            "rationale": r.rationale,
-            "provenance": r.provenance.value,
-        }
-        for r in ordered
-    ]
+def _relations_payload(relations, full: bool = False) -> list[dict]:
+    """Relations in canonical order as JSON objects; `full` adds the
+    rationale and provenance to the (depender, dependee, nfr) triple."""
+    rows = []
+    for r in sorted(relations, key=DependencyRelation.sort_key):
+        row = {"depender": r.depender.code, "dependee": r.dependee.code, "nfr": r.nfr.name}
+        if full:
+            row.update(rationale=r.rationale, provenance=r.provenance.value)
+        rows.append(row)
+    return rows
 
 
-def _triples_json(relations) -> list[dict]:
-    ordered = sorted(
-        relations, key=lambda r: (_NODE_ORDER[r.depender], _NODE_ORDER[r.dependee], r.nfr)
-    )
-    return [
-        {"depender": r.depender.code, "dependee": r.dependee.code, "nfr": r.nfr.name}
-        for r in ordered
-    ]
-
-
-def _cmd_validate(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
+def _cmd_validate(args, kb: KnowledgeBase) -> Report:
     result = _load_model(args.model, kb)
     findings = list(result.findings)
     payload: dict = {}
@@ -99,18 +87,18 @@ def _cmd_validate(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
             "wallets": len(result.model.wallets),
             "explicit_dependencies": len(result.model.explicit_deps),
         }
-    return Report("validate", tuple(findings), payload), findings
+    return Report("validate", tuple(findings), payload)
 
 
-def _cmd_coverage(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
+def _cmd_coverage(args, kb: KnowledgeBase) -> Report:
     model = None
     if args.scope == "model":
         result = _load_model(args.model, kb)
         if result.model is None:
-            return Report("coverage", tuple(result.findings), {}), list(result.findings)
+            return Report("coverage", tuple(result.findings), {})
         model = result.model
     report = analysis.coverage(kb, model)
-    findings = [
+    findings = tuple(
         Finding(
             Severity.WARNING,
             "coverage.gap",
@@ -118,7 +106,7 @@ def _cmd_coverage(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
             f"no design pattern supports {nfr.name} ({kb.entry(nfr).name})",
         )
         for nfr in sorted(report.uncovered)
-    ]
+    )
     payload = {
         "scope": report.scope.value,
         "covered": {
@@ -128,55 +116,49 @@ def _cmd_coverage(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
             {"key": nfr.name, "name": kb.entry(nfr).name} for nfr in sorted(report.uncovered)
         ],
     }
-    return Report("coverage", tuple(findings), payload), findings
+    return Report("coverage", findings, payload)
 
 
-def _cmd_deps(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
-    findings: list[Finding] = []
-    if args.diff:
-        # Cross-check only where the authoritative table has rows;
-        # derivation over uncatalogued NFRs is not a disagreement.
-        derived = analysis.derive_dependencies(kb)
-        covered_nfrs = {rel.nfr for rel in kb.dependencies}
-        diff = analysis.diff_dependencies(
-            kb.dependencies, {rel for rel in derived if rel.nfr in covered_nfrs}
-        )
-        for rel in sorted(diff.missing_from_derived, key=lambda r: r.nfr):
-            findings.append(
-                Finding(
-                    Severity.WARNING,
-                    "deps.missing",
-                    rel.nfr.name,
-                    f"({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name}) is "
-                    "authoritative but not derivable from the responsibility matrix",
-                )
-            )
-        for rel in sorted(diff.extra_in_derived, key=lambda r: r.nfr):
-            findings.append(
-                Finding(
-                    Severity.WARNING,
-                    "deps.extra",
-                    rel.nfr.name,
-                    f"({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name}) is "
-                    "derivable but absent from the authoritative relation set",
-                )
-            )
-        payload = {
-            "matched": _triples_json(diff.matched),
-            "missing_from_derived": _triples_json(diff.missing_from_derived),
-            "extra_in_derived": _triples_json(diff.extra_in_derived),
-        }
-    else:
-        payload = {"relations": _relations_json(kb.dependencies)}
-    return Report("deps", tuple(findings), payload), findings
+def _cmd_deps(args, kb: KnowledgeBase) -> Report:
+    if not args.diff:
+        return Report("deps", (), {"relations": _relations_payload(kb.dependencies, full=True)})
+    # Cross-check only where the authoritative table has rows;
+    # derivation over uncatalogued NFRs is not a disagreement.
+    derived = analysis.derive_dependencies(kb)
+    covered_nfrs = {rel.nfr for rel in kb.dependencies}
+    diff = analysis.diff_dependencies(
+        kb.dependencies, {rel for rel in derived if rel.nfr in covered_nfrs}
+    )
+    findings = []
+    for rule, relations, phrase in (
+        (
+            "deps.missing",
+            diff.missing_from_derived,
+            "authoritative but not derivable from the responsibility matrix",
+        ),
+        (
+            "deps.extra",
+            diff.extra_in_derived,
+            "derivable but absent from the authoritative relation set",
+        ),
+    ):
+        for rel in sorted(relations, key=DependencyRelation.sort_key):
+            triple = f"({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name})"
+            findings.append(Finding(Severity.WARNING, rule, rel.nfr.name, f"{triple} is {phrase}"))
+    payload = {
+        "matched": _relations_payload(diff.matched),
+        "missing_from_derived": _relations_payload(diff.missing_from_derived),
+        "extra_in_derived": _relations_payload(diff.extra_in_derived),
+    }
+    return Report("deps", tuple(findings), payload)
 
 
-def _cmd_stats(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
+def _cmd_stats(args, kb: KnowledgeBase) -> Report:
     stats = analysis.responsibility_stats(kb)
-    findings = [
+    findings = tuple(
         Finding(Severity.WARNING, "stats.discrepancy", text.split(":", 1)[0], text)
         for text in stats.discrepancies
-    ]
+    )
     payload = {
         "computed": {a.code: stats.primary_counts[a] for a in stats.primary_counts},
         "claimed": {a.code: stats.claimed_counts[a] for a in stats.claimed_counts},
@@ -185,10 +167,10 @@ def _cmd_stats(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
         },
         "discrepancies": list(stats.discrepancies),
     }
-    return Report("stats", tuple(findings), payload), findings
+    return Report("stats", findings, payload)
 
 
-def _cmd_simulate(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
+def _cmd_simulate(args, kb: KnowledgeBase) -> Report:
     if args.scenario is None:
         raise CliError("simulate requires --scenario")
     text = _read_file(args.scenario)
@@ -204,26 +186,50 @@ def _cmd_simulate(args, kb: KnowledgeBase) -> tuple[Report, list[Finding]]:
         summaries.append(
             {"scenario": i, "outcome": trace.outcome.value, "events": len(trace.events)}
         )
-    return Report("simulate", tuple(findings), {"traces": summaries}), findings
+    return Report("simulate", tuple(findings), {"traces": summaries})
 
 
-def _cmd_graph(args, kb: KnowledgeBase) -> str:
-    if args.format not in ("dot", "tsv"):
-        raise CliError("graph requires --format dot or --format tsv")
+def _cmd_graph(args, kb: KnowledgeBase) -> Report:
+    """The graph travels in the payload; it is emitted only as DOT or TSV."""
+    model = None
     if args.scope == "model":
         result = _load_model(args.model, kb)
         if result.model is None:
             messages = "; ".join(f.message for f in result.findings)
             raise CliError(f"model does not resolve: {messages}")
-        g = graphmod.build_graph(
-            kb.dependencies,
-            kb.ownership,
-            scope=graphmod.GraphScope.MODEL_SCOPED,
-            model=result.model,
-        )
-    else:
-        g = graphmod.build_graph(kb.dependencies, kb.ownership)
-    return graphmod.to_dot(g) if args.format == "dot" else graphmod.to_tsv(g)
+        model = result.model
+    scope = graphmod.GraphScope(args.scope)
+    g = graphmod.build_graph(kb.dependencies, kb.ownership, scope=scope, model=model)
+    return Report("graph", (), {"graph": g})
+
+
+_HANDLERS = {
+    "validate": _cmd_validate,
+    "coverage": _cmd_coverage,
+    "deps": _cmd_deps,
+    "graph": _cmd_graph,
+    "simulate": _cmd_simulate,
+    "stats": _cmd_stats,
+}
+
+
+def _check_format(args) -> None:
+    if args.command == "graph" and args.format not in _GRAPH_FORMATS:
+        raise CliError("graph requires --format dot or --format tsv")
+    if args.command != "graph" and args.format in _GRAPH_FORMATS:
+        raise CliError(f"--format {args.format} applies only to the graph command")
+
+
+def _emit(report: Report, fmt: str) -> str:
+    if fmt == "dot":
+        return graphmod.to_dot(report.payload["graph"])
+    if fmt == "tsv":
+        return graphmod.to_tsv(report.payload["graph"])
+    if fmt == "json":
+        return emit_json(report)
+    if fmt == "markdown":
+        return emit_markdown(report)
+    return emit_human(report, color=os.environ.get("SSIARCH_NO_COLOR") is None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -233,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "command",
-        choices=["validate", "coverage", "deps", "graph", "simulate", "stats"],
+        choices=list(_HANDLERS),
     )
     parser.add_argument("--model", help="path to a .ssiarch model file")
     parser.add_argument(
@@ -266,37 +272,14 @@ def run(argv: list[str], out=sys.stdout, err=sys.stderr) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        kb = _load_kb(args.kb)
-        if args.command == "graph":
-            out.write(_cmd_graph(args, kb))
-            return EXIT_OK
-        handler = {
-            "validate": _cmd_validate,
-            "coverage": _cmd_coverage,
-            "deps": _cmd_deps,
-            "simulate": _cmd_simulate,
-            "stats": _cmd_stats,
-        }[args.command]
-        report, findings = handler(args, kb)
+        _check_format(args)
+        report = _HANDLERS[args.command](args, _load_kb(args.kb))
     except CliError as exc:
         err.write(f"ssiarch: {exc}\n")
         return EXIT_USAGE
-
-    if args.format == "json":
-        out.write(emit_json(report))
-    elif args.format == "markdown":
-        out.write(emit_markdown(report))
-    elif args.format in ("dot", "tsv"):
-        err.write(f"ssiarch: --format {args.format} applies only to the graph command\n")
-        return EXIT_USAGE
-    else:
-        color = os.environ.get("SSIARCH_NO_COLOR") is None
-        out.write(emit_human(report, color=color))
-
-    threshold = {"error": Severity.ERROR, "warning": Severity.WARNING, "info": Severity.INFO}[
-        args.fail_on
-    ]
-    if any(f.severity.rank >= threshold.rank for f in findings):
+    out.write(_emit(report, args.format))
+    threshold = Severity(args.fail_on).rank
+    if any(f.severity.rank >= threshold for f in report.findings):
         return EXIT_FINDINGS
     return EXIT_OK
 

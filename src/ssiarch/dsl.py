@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from ssiarch.findings import Finding, Severity, SourceSpan
 from ssiarch.kb import (
-    ACTOR_ORDER,
+    ACTOR_RANK,
+    PRIMARY_ACTORS,
     ActorKind,
     DependencyRelation,
     KnowledgeBase,
@@ -53,11 +55,7 @@ KEYWORDS = frozenset(
     }
 )
 
-_ACTOR_KEYWORDS = {
-    "owner": ActorKind.DATA_OWNER,
-    "issuer": ActorKind.ISSUER,
-    "verifier": ActorKind.VERIFIER,
-}
+_ACTOR_KEYWORDS = {kind.long_name: kind for kind in PRIMARY_ACTORS}
 
 
 class DslSyntaxError(Exception):
@@ -176,8 +174,9 @@ def tokenize(text: str) -> list[Token]:
                 j += 1
             word = text[i:j]
             span = SourceSpan(line, col, len(word))
-            if word.startswith("NFR") and word[3:].isdigit():
-                tokens.append(Token(TokenKind.NFRKEY, word, span, value=int(word[3:])))
+            digits = word[3:]
+            if word.startswith("NFR") and digits.isascii() and digits.isdigit():
+                tokens.append(Token(TokenKind.NFRKEY, word, span, value=int(digits)))
             elif word in KEYWORDS:
                 tokens.append(Token(TokenKind.KEYWORD, word, span))
             else:
@@ -238,6 +237,9 @@ class ModelNode:
     wallets: list[WalletNode]
     deps: list[DepNode]
     span: SourceSpan
+
+
+_Item = TypeVar("_Item")
 
 
 class _Parser:
@@ -304,19 +306,19 @@ class _Parser:
         self.expect(TokenKind.LBRACE, "'{'")
         patterns: list[PatternRef] = []
         claims: list[ClaimRef] = []
+        clauses = {
+            "patterns": (patterns, self.parse_pattern_ref),
+            "claims": (claims, self.parse_claim_ref),
+        }
         while self.current.kind is not TokenKind.RBRACE:
-            if self.at_kw("patterns"):
-                self.take()
-                self.expect(TokenKind.COLON, "':'")
-                patterns.extend(self.parse_pattern_list())
-                self.expect(TokenKind.SEMI, "';'")
-            elif self.at_kw("claims"):
-                self.take()
-                self.expect(TokenKind.COLON, "':'")
-                claims.extend(self.parse_claim_list())
-                self.expect(TokenKind.SEMI, "';'")
-            else:
+            tok = self.current
+            if tok.kind is not TokenKind.KEYWORD or tok.text not in clauses:
                 raise self.error("'patterns', 'claims', or '}'")
+            self.take()
+            items, parse_item = clauses[tok.text]
+            self.expect(TokenKind.COLON, "':'")
+            items.extend(self.parse_list(parse_item))
+            self.expect(TokenKind.SEMI, "';'")
         self.expect(TokenKind.RBRACE, "'}'")
         return ActorNode(
             kind=_ACTOR_KEYWORDS[kind_tok.text],
@@ -326,14 +328,15 @@ class _Parser:
             span=start,
         )
 
-    def parse_pattern_list(self) -> list[PatternRef]:
+    def parse_list(self, parse_item: Callable[[], _Item]) -> list[_Item]:
+        """A bracketed, comma-separated, non-empty list of items."""
         self.expect(TokenKind.LBRACKET, "'['")
-        refs = [self.parse_pattern_ref()]
+        items = [parse_item()]
         while self.current.kind is TokenKind.COMMA:
             self.take()
-            refs.append(self.parse_pattern_ref())
+            items.append(parse_item())
         self.expect(TokenKind.RBRACKET, "']'")
-        return refs
+        return items
 
     def parse_pattern_ref(self) -> PatternRef:
         tok = self.current
@@ -343,15 +346,6 @@ class _Parser:
         self.expect(TokenKind.COLON, "':'")
         name = self.expect(TokenKind.STRING, "pattern name string")
         return PatternRef(PatternSource(tok.text), str(name.value), tok.span)
-
-    def parse_claim_list(self) -> list[ClaimRef]:
-        self.expect(TokenKind.LBRACKET, "'['")
-        claims = [self.parse_claim_ref()]
-        while self.current.kind is TokenKind.COMMA:
-            self.take()
-            claims.append(self.parse_claim_ref())
-        self.expect(TokenKind.RBRACKET, "']'")
-        return claims
 
     def parse_claim_ref(self) -> ClaimRef:
         tok = self.expect(TokenKind.NFRKEY, "NFR key")
@@ -412,7 +406,6 @@ class SystemModel:
     actors: tuple[ActorDecl, ...]
     wallets: tuple[WalletDecl, ...]
     explicit_deps: tuple[DependencyRelation, ...] = ()
-    uses_global_system: bool = True
 
     def actors_of(self, kind: ActorKind) -> tuple[ActorDecl, ...]:
         return tuple(a for a in self.actors if a.kind == kind)
@@ -425,10 +418,6 @@ class ResolveResult:
 
     model: SystemModel | None
     findings: list[Finding]
-
-
-_KIND_ORDER = {ActorKind.DATA_OWNER: 0, ActorKind.ISSUER: 1, ActorKind.VERIFIER: 2}
-_NODE_ORDER = {kind: i for i, kind in enumerate(ACTOR_ORDER)}
 
 
 def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
@@ -452,18 +441,14 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
         else:
             ids[node.id] = node
 
-    for kind, keyword in (
-        (ActorKind.DATA_OWNER, "owner"),
-        (ActorKind.ISSUER, "issuer"),
-        (ActorKind.VERIFIER, "verifier"),
-    ):
+    for kind in PRIMARY_ACTORS:
         if not any(a.kind == kind for a in tree.actors):
             findings.append(
                 Finding(
                     Severity.ERROR,
                     "model.missing-actor",
-                    keyword,
-                    f"model declares no {keyword} actor",
+                    kind.long_name,
+                    f"model declares no {kind.long_name} actor",
                     tree.span,
                 )
             )
@@ -507,7 +492,7 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
                 span=node.span,
             )
         )
-    actors.sort(key=lambda a: _KIND_ORDER[a.kind])
+    actors.sort(key=lambda a: ACTOR_RANK[a.kind])
 
     wallets: list[WalletDecl] = []
     owners_with_wallet: set[str] = set()
@@ -606,12 +591,7 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
         name=tree.name,
         actors=tuple(actors),
         wallets=tuple(wallets),
-        explicit_deps=tuple(
-            sorted(
-                deps,
-                key=lambda r: (_NODE_ORDER[r.depender], _NODE_ORDER[r.dependee], r.nfr),
-            )
-        ),
+        explicit_deps=tuple(sorted(deps, key=DependencyRelation.sort_key)),
     )
     return ResolveResult(model=model, findings=findings)
 
@@ -648,8 +628,7 @@ def format_model(model: SystemModel) -> str:
     model structurally equal to the input."""
     lines = [f"system {_quote(model.name)} {{"]
     for actor in model.actors:
-        keyword = {v: k for k, v in _ACTOR_KEYWORDS.items()}[actor.kind]
-        header = f"  actor {keyword} {_quote(actor.id)} {{"
+        header = f"  actor {actor.kind.long_name} {_quote(actor.id)} {{"
         if not actor.patterns and not actor.claims:
             lines.append(header + "}")
             continue

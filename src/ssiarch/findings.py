@@ -29,7 +29,10 @@ class Severity(enum.Enum):
 
     @property
     def rank(self) -> int:
-        return {"info": 10, "warning": 20, "error": 30}[self.value]
+        return _SEVERITY_RANK[self]
+
+
+_SEVERITY_RANK = {Severity.INFO: 10, Severity.WARNING: 20, Severity.ERROR: 30}
 
 
 #: Every rule id any component may emit. Emitting a rule outside this set
@@ -84,9 +87,3 @@ class Finding:
 def sort_findings(findings: list[Finding]) -> list[Finding]:
     """Canonical report order: most severe first, then rule, then subject."""
     return sorted(findings, key=lambda f: (-f.severity.rank, f.rule, f.subject))
-
-
-def max_severity(findings: list[Finding]) -> Severity | None:
-    if not findings:
-        return None
-    return max(findings, key=lambda f: f.severity.rank).severity

@@ -9,17 +9,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import product
 
 from ssiarch.dsl import SystemModel
-from ssiarch.kb import (
-    ACTOR_ORDER,
-    ActorKind,
-    DependencyRelation,
-    NfrKey,
-    OwnershipMap,
-)
-
-_NODE_ORDER = {kind: i for i, kind in enumerate(ACTOR_ORDER)}
+from ssiarch.kb import ACTOR_ORDER, ActorKind, DependencyRelation, NfrKey, OwnershipMap
 
 
 class EdgeKind(enum.Enum):
@@ -54,58 +47,47 @@ def build_graph(
 ) -> DepGraph:
     """One node per actor kind (KB scope) or per declared instance
     (model scope); a D-edge per relation and an O-edge per (owner, NFR)
-    pair. Only nodes used by some edge appear."""
-    if scope is GraphScope.MODEL_SCOPED and model is None:
-        raise ValueError("model-scoped graph requires a model")
-
-    owners_map: dict[NfrKey, frozenset[ActorKind]] = {}
-    if isinstance(ownership, OwnershipMap):
-        owners_map = dict(ownership.owners)
-    elif ownership:
-        owners_map = dict(ownership)
-
+    pair. Owner-wallet relations link each wallet only to the owner it
+    is bound to. Only nodes used by some edge appear."""
     if scope is GraphScope.KB_ONLY:
-        def instances(kind: ActorKind) -> list[str]:
-            return [kind.code]
-
-        def node_key(node: str) -> tuple:
-            return (_NODE_ORDER[ActorKind(node)],)
+        # KB scope is model scope with one instance per kind, the one
+        # wallet bound to the one owner.
+        by_kind = {kind: [kind.code] for kind in ACTOR_ORDER}
+        bindings = [("o", "w")]
+    elif model is None:
+        raise ValueError("model-scoped graph requires a model")
     else:
-        assert model is not None
-        by_kind: dict[ActorKind, list[str]] = {kind: [] for kind in ACTOR_ORDER}
-        for actor in model.actors:
-            by_kind[actor.kind].append(actor.id)
-        for wallet in model.wallets:
-            by_kind[ActorKind.WALLET].append(wallet.id)
-        if model.uses_global_system:
-            by_kind[ActorKind.GLOBAL_SYSTEM].append("system")
-        positions = {
-            node: (order, i)
-            for order, kind in enumerate(ACTOR_ORDER)
-            for i, node in enumerate(by_kind[kind])
-        }
-
-        def instances(kind: ActorKind) -> list[str]:
-            return by_kind[kind]
-
-        def node_key(node: str) -> tuple:
-            return positions[node]
+        by_kind = {kind: [a.id for a in model.actors_of(kind)] for kind in ACTOR_ORDER}
+        by_kind[ActorKind.WALLET] = [w.id for w in model.wallets]
+        by_kind[ActorKind.GLOBAL_SYSTEM] = ["system"]
+        bindings = [(w.owner_ref, w.id) for w in model.wallets]
+    position = {
+        node: (rank, i)
+        for rank, kind in enumerate(ACTOR_ORDER)
+        for i, node in enumerate(by_kind[kind])
+    }
+    bound = {
+        (ActorKind.DATA_OWNER, ActorKind.WALLET): bindings,
+        (ActorKind.WALLET, ActorKind.DATA_OWNER): [(w, o) for o, w in bindings],
+    }
 
     edges: set[tuple[str, str, NfrKey, EdgeKind]] = set()
     for rel in relations:
-        for src in instances(rel.depender):
-            for dst in instances(rel.dependee):
-                if src != dst:
-                    edges.add((src, dst, rel.nfr, EdgeKind.DEPENDENCY))
-    for nfr, owners in owners_map.items():
-        for owner in owners:
-            for node in instances(owner):
+        kinds = (rel.depender, rel.dependee)
+        pairs = bound[kinds] if kinds in bound else product(*(by_kind[k] for k in kinds))
+        for src, dst in pairs:
+            if src != dst:
+                edges.add((src, dst, rel.nfr, EdgeKind.DEPENDENCY))
+    owners = ownership.owners if isinstance(ownership, OwnershipMap) else ownership or {}
+    for nfr, owner_kinds in owners.items():
+        for kind in owner_kinds:
+            for node in by_kind[kind]:
                 edges.add((node, node, nfr, EdgeKind.OWNERSHIP))
 
     used = {src for src, _, _, _ in edges} | {dst for _, dst, _, _ in edges}
-    nodes = tuple(sorted(used, key=node_key))
+    nodes = tuple(sorted(used, key=position.__getitem__))
     ordered = tuple(
-        sorted(edges, key=lambda e: (node_key(e[0]), node_key(e[1]), int(e[2]), e[3].value))
+        sorted(edges, key=lambda e: (position[e[0]], position[e[1]], int(e[2]), e[3].value))
     )
     return DepGraph(nodes=nodes, edges=ordered)
 

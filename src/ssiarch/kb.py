@@ -98,14 +98,10 @@ for _kind, _long in _ACTOR_LONG_NAMES.items():
 #: Actors that appear as columns of the responsibility matrix.
 PRIMARY_ACTORS = (ActorKind.DATA_OWNER, ActorKind.ISSUER, ActorKind.VERIFIER)
 
-#: Canonical node order used for graph and report output.
-ACTOR_ORDER = (
-    ActorKind.DATA_OWNER,
-    ActorKind.ISSUER,
-    ActorKind.VERIFIER,
-    ActorKind.WALLET,
-    ActorKind.GLOBAL_SYSTEM,
-)
+#: Canonical actor order (o, i, v, w, s) of every sorted output, and
+#: each kind's rank in it.
+ACTOR_ORDER = tuple(ActorKind)
+ACTOR_RANK = {kind: rank for rank, kind in enumerate(ACTOR_ORDER)}
 
 
 class ResponsibilityLevel(enum.Enum):
@@ -206,6 +202,10 @@ class DependencyRelation:
     @property
     def triple(self) -> tuple[ActorKind, ActorKind, NfrKey]:
         return (self.depender, self.dependee, self.nfr)
+
+    def sort_key(self) -> tuple[int, int, NfrKey]:
+        """Canonical relation order: depender, dependee, then NFR."""
+        return (ACTOR_RANK[self.depender], ACTOR_RANK[self.dependee], self.nfr)
 
 
 @dataclass(frozen=True)

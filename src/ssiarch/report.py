@@ -12,8 +12,8 @@ from ssiarch.findings import Finding, Severity, sort_findings
 @dataclass(frozen=True)
 class Report:
     """One command's output: findings plus a command-specific payload.
-
-    The payload must already be JSON-serializable with stable key order."""
+    Payloads are JSON-serializable with stable key order, except graph's
+    DepGraph, which the CLI emits only as DOT or TSV."""
 
     command: str
     findings: tuple[Finding, ...]

@@ -304,7 +304,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
         disclosed = set(presented.payload.get("disclosed", []))
         requested = set(requested_event.payload.get("requested", []))
         allowed = requested & set(trace.scenario.attributes)
-        if disclosed > allowed:
+        if disclosed - allowed:
             extra = ", ".join(sorted(disclosed - allowed))
             note(
                 "sim.nfr14.overdisclosure",

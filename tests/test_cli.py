@@ -1,9 +1,15 @@
+import contextlib
 import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import jsonschema
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssiarch.cli import run
 from ssiarch.report import REPORT_SCHEMA
@@ -180,3 +186,111 @@ def test_console_entry_point(datadir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "stats"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--model"],
+        ["stats", "--kb"],
+        ["simulate", "--scenario"],
+    ],
+)
+def test_undecodable_input_is_exit_2(tmp_path, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b'system "\xff\xfe" {}\n')
+    code, out, err = invoke([*argv, str(bad)])
+    assert code == 2
+    assert not out
+    assert err.startswith(f"ssiarch: cannot read {bad}: ")
+
+
+def test_path_with_nul_is_exit_2():
+    code, out, err = invoke(["validate", "--model", "demo\0.ssiarch"])
+    assert code == 2
+    assert not out
+    assert err.startswith("ssiarch: cannot read ")
+
+
+def test_non_ascii_nfr_digits_are_exit_2(tmp_path):
+    for claim in ("NFR²", "NFR١"):
+        model = tmp_path / "m.ssiarch"
+        model.write_text(
+            'system "x" { actor owner "a" { claims: [%s]; } '
+            'actor issuer "i" {} actor verifier "v" {} }' % claim,
+            encoding="utf-8",
+        )
+        code, out, err = invoke(["validate", "--model", str(model)])
+        assert code == 2
+        assert not out
+        assert "expected NFR key" in err
+
+
+def test_format_mismatch_rejected_before_reading_files(tmp_path):
+    missing = str(tmp_path / "missing.ssiarch")
+    code, out, err = invoke(["validate", "--model", missing, "--format", "dot"])
+    assert code == 2
+    assert not out
+    assert "--format dot applies only to the graph command" in err
+    assert "cannot read" not in err
+    code, out, err = invoke(["graph", "--kb", missing, "--format", "json"])
+    assert code == 2
+    assert not out
+    assert "graph requires --format dot or --format tsv" in err
+    assert "cannot read" not in err
+
+
+_COMMANDS = ["validate", "coverage", "deps", "graph", "simulate", "stats"]
+_SAMPLE_BYTES = [
+    (Path(__file__).resolve().parent.parent / "samples" / name).read_bytes()
+    for name in ("demo.ssiarch", "invalid_claim.ssiarch", "demo.scenario", "extra_deps.kbx")
+]
+
+
+@st.composite
+def _cli_inputs(draw):
+    """argv over the CLI's commands, flags and values, plus the bytes of
+    each file it names (None for a missing file)."""
+    argv = [draw(st.sampled_from(_COMMANDS))]
+    files: dict[str, bytes | None] = {}
+    for flag in ("--model", "--kb", "--scenario"):
+        if draw(st.booleans()):
+            name = f"f{len(files)}"
+            files[name] = draw(
+                st.one_of(
+                    st.none(),
+                    st.binary(max_size=64),
+                    st.sampled_from(_SAMPLE_BYTES),
+                    st.sampled_from(_SAMPLE_BYTES).flatmap(
+                        lambda b: st.binary(min_size=1, max_size=4).map(
+                            lambda junk: b[: len(b) // 2] + junk + b[len(b) // 2 :]
+                        )
+                    ),
+                )
+            )
+            argv += [flag, name]
+    for flag, values in (
+        ("--format", ["human", "json", "dot", "tsv", "markdown", "xml"]),
+        ("--fail-on", ["error", "warning", "info"]),
+        ("--scope", ["kb", "model"]),
+    ):
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv.append("--diff")
+    return argv, files
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_cli_inputs())
+def test_exit_code_contract(inputs):
+    argv, files = inputs
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            if data is not None:
+                (Path(tmp) / name).write_bytes(data)
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv, out=out, err=err)
+    assert code in (0, 1, 2)

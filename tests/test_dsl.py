@@ -233,3 +233,13 @@ def test_determinism(kb):
     r2 = load_model(MINIMAL, kb)
     assert r1.model == r2.model
     assert r1.findings == r2.findings
+
+
+@pytest.mark.parametrize("claim", ["NFR²", "NFR١", "NFR1²"])
+def test_nfr_key_takes_only_ascii_digits(kb, claim):
+    assert tokenize(claim)[0].kind is TokenKind.IDENT
+    owner = f'actor owner "alice" {{ claims: [{claim}]; }}'
+    text = MINIMAL.replace('actor owner "alice" {}', owner)
+    result = load_model(text, kb)
+    assert result.model is None
+    assert [f.rule for f in result.findings] == ["syntax.parse"]

@@ -132,3 +132,23 @@ def test_model_scope_requires_model(kb):
 def test_edges_must_reference_nodes():
     with pytest.raises(ValueError):
         DepGraph(nodes=("o",), edges=(("o", "i", NfrKey.NFR1, EdgeKind.DEPENDENCY),))
+
+
+def test_model_scoped_graph_follows_wallet_binding(kb):
+    text = """
+    system "x" {
+      actor owner "alice" {}
+      actor owner "bob" {}
+      actor issuer "uni" {}
+      actor verifier "library" {}
+      wallet "pa" { for: "alice"; }
+      wallet "pb" { for: "bob"; }
+    }
+    """
+    model = load_model(text, kb).model
+    g = build_graph(kb.dependencies, kb.ownership, scope=GraphScope.MODEL_SCOPED, model=model)
+    pairs = {(src, dst) for src, dst, _, kind in g.edges if kind is EdgeKind.DEPENDENCY}
+    assert ("alice", "pa") in pairs
+    assert ("bob", "pb") in pairs
+    assert ("alice", "pb") not in pairs
+    assert ("bob", "pa") not in pairs

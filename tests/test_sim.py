@@ -245,3 +245,20 @@ def test_load_scenarios_rejects_malformed(text, fragment):
     with pytest.raises(ExtensionError) as exc:
         load_scenarios(text)
     assert fragment in str(exc.value)
+
+
+def test_overdisclosure_of_unrequested_attribute_detected(kb):
+    # Discloses (and uses) `name` where only `degree` was requested: not a
+    # superset of the request, but still more than it allows.
+    trace = run_scenario(base_scenario())
+    events = []
+    for e in trace.events:
+        if e.kind is EventKind.PRESENTED:
+            e = SimEvent(e.seq, e.kind, e.actor, {**e.payload, "disclosed": ["name"]})
+        elif e.kind is EventKind.ACCESS_GRANTED:
+            e = SimEvent(e.seq, e.kind, e.actor, {"used_attributes": ["name"]})
+        events.append(e)
+    forged = SimTrace(scenario=trace.scenario, events=tuple(events), outcome=trace.outcome)
+    findings = check_trace(forged, kb)
+    assert [f.rule for f in findings] == ["sim.nfr14.overdisclosure"]
+    assert findings[0].message.endswith("requested minimum: name")
