@@ -24,8 +24,9 @@ Files use extension `.ssiarch`; `#` starts a comment to end-of-line.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, NamedTuple, TypeVar
 
 from ssiarch.findings import Finding, Severity, SourceSpan
 from ssiarch.kb import (
@@ -57,6 +58,10 @@ KEYWORDS = frozenset(
 
 _ACTOR_KEYWORDS = {kind.long_name: kind for kind in PRIMARY_ACTORS}
 
+#: Node id of the implicit global system in model-scoped graphs; no
+#: declared actor or wallet may take it.
+GLOBAL_SYSTEM_ID = "system"
+
 
 class DslSyntaxError(Exception):
     """Lexical or syntactic error in model text, with a source span."""
@@ -82,13 +87,24 @@ class TokenKind(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One lexeme: its kind, its text, and where it starts. A STRING
+    token's text is its value requoted, with escapes resolved, and its
+    length is that text's length. The span is built only when read, so
+    a token is one tuple and nothing more."""
+
     kind: TokenKind
     text: str
-    span: SourceSpan
-    #: String content for STRING tokens, NFR ordinal for NFRKEY tokens.
+    line: int  # 1-based
+    column: int  # 1-based
+    length: int
+    #: String content for STRING tokens; for NFRKEY tokens the NFR
+    #: ordinal, or None when it has more digits than int() converts.
     value: object = None
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.line, self.column, self.length)
 
 
 _PUNCT = {
@@ -101,92 +117,86 @@ _PUNCT = {
     ":": TokenKind.COLON,
 }
 
+#: Keyword text by itself, so keyword tokens share one string each.
+_KEYWORD_TEXT = {word: word for word in KEYWORDS}
+
+#: One lexeme after optional blanks, in group order: a newline, a
+#: comment or the end of the text (no group), punctuation, a string
+#: literal, a word, or any other character, which is an error. Every
+#: non-blank character starts one of these, so successive matches cover
+#: the whole text. A word may start with a digit-like character such as
+#: "²" that is not a letter; tokenize rejects it.
+_LEXEME = re.compile(
+    r"""
+    [ \t\r]*
+    (?:
+        (\n)
+      | \#[^\n]*
+      | ([{}\[\],;:])
+      | ("[^"\\\n]*(?:\\[^\n][^"\\\n]*)*")
+      | ([^\W\d]\w*)
+      | ([^ \t\r])
+      | \Z
+    )
+    """,
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _ordinal(digits: str) -> int | None:
+    """The number spelled by ASCII `digits`, or None when it has more
+    significant digits than int() converts; no NFR key is that large."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return None
+
 
 def tokenize(text: str) -> list[Token]:
-    """Lex model text into tokens with spans; comments and whitespace
+    """Lex model text into tokens ending in EOF; comments and whitespace
     are discarded. Raises DslSyntaxError on lexical errors."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
-        else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                advance(text[i])
-                i += 1
-            continue
-        start = SourceSpan(line, col, 1)
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, start))
-            advance(ch)
-            i += 1
-            continue
-        if ch == '"':
-            advance(ch)
-            i += 1
-            chars: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                advance(c)
-                i += 1
-                if c == '"':
-                    closed = True
-                    break
-                if c == "\\" and i < n and text[i] in ('"', "\\"):
-                    chars.append(text[i])
-                    advance(text[i])
-                    i += 1
-                else:
-                    chars.append(c)
-            if not closed:
-                raise DslSyntaxError("unterminated string literal", start)
-            value = "".join(chars)
-            tokens.append(
-                Token(
-                    TokenKind.STRING,
-                    text='"' + value + '"',
-                    span=SourceSpan(start.line, start.column, len(value) + 2),
-                    value=value,
+    line_start = 0
+    for m in _LEXEME.finditer(text):
+        group = m.lastindex
+        if group == 2:
+            ch = m[2]
+            append(Token(_PUNCT[ch], ch, line, m.start(2) - line_start + 1, 1))
+        elif group == 4:
+            word = m[4]
+            column = m.start(4) - line_start + 1
+            first = word[0]
+            if not (first.isalpha() or first == "_"):
+                raise DslSyntaxError(
+                    f"unexpected character {first!r}", SourceSpan(line, column, 1)
                 )
-            )
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            span = SourceSpan(line, col, len(word))
-            digits = word[3:]
-            if word.startswith("NFR") and digits.isascii() and digits.isdigit():
-                tokens.append(Token(TokenKind.NFRKEY, word, span, value=int(digits)))
-            elif word in KEYWORDS:
-                tokens.append(Token(TokenKind.KEYWORD, word, span))
+            if word in _KEYWORD_TEXT:
+                append(Token(TokenKind.KEYWORD, _KEYWORD_TEXT[word], line, column, len(word)))
+            elif word.startswith("NFR") and (digits := word[3:]).isascii() and digits.isdigit():
+                append(Token(TokenKind.NFRKEY, word, line, column, len(word), _ordinal(digits)))
             else:
-                tokens.append(Token(TokenKind.IDENT, word, span))
-            for c in word:
-                advance(c)
-            i = j
-            continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", start)
-    tokens.append(Token(TokenKind.EOF, "", SourceSpan(line, col, 0)))
+                append(Token(TokenKind.IDENT, word, line, column, len(word)))
+        elif group == 1:
+            line += 1
+            line_start = m.end()
+        elif group == 3:
+            quoted = m[3]
+            value = quoted[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+                quoted = '"' + value + '"'
+            column = m.start(3) - line_start + 1
+            append(Token(TokenKind.STRING, quoted, line, column, len(quoted), value))
+        elif group == 5:
+            ch = m[5]
+            span = SourceSpan(line, m.start(5) - line_start + 1, 1)
+            if ch == '"':
+                raise DslSyntaxError("unterminated string literal", span)
+            raise DslSyntaxError(f"unexpected character {ch!r}", span)
+    append(Token(TokenKind.EOF, "", line, len(text) - line_start + 1, 0))
     return tokens
 
 
@@ -202,7 +212,7 @@ class PatternRef:
 
 @dataclass
 class ClaimRef:
-    ordinal: int
+    ordinal: int | None  # None: too many digits to be a known key
     span: SourceSpan
 
 
@@ -226,7 +236,7 @@ class WalletNode:
 class DepNode:
     depender_ref: str
     dependee_ref: str
-    ordinal: int
+    ordinal: int | None  # None: too many digits to be a known key
     span: SourceSpan
 
 
@@ -349,7 +359,7 @@ class _Parser:
 
     def parse_claim_ref(self) -> ClaimRef:
         tok = self.expect(TokenKind.NFRKEY, "NFR key")
-        return ClaimRef(int(tok.value), tok.span)  # type: ignore[arg-type]
+        return ClaimRef(tok.value, tok.span)  # type: ignore[arg-type]
 
     def parse_wallet(self) -> WalletNode:
         start = self.expect_kw("wallet").span
@@ -370,7 +380,7 @@ class _Parser:
         self.expect(TokenKind.COLON, "':'")
         nfr = self.expect(TokenKind.NFRKEY, "NFR key")
         self.expect(TokenKind.SEMI, "';'")
-        return DepNode(str(depender.value), str(dependee.value), int(nfr.value), start)  # type: ignore[arg-type]
+        return DepNode(str(depender.value), str(dependee.value), nfr.value, start)  # type: ignore[arg-type]
 
 
 def parse(tokens: list[Token]) -> ModelNode:
@@ -440,6 +450,11 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
             )
         else:
             ids[node.id] = node
+        if node.id == GLOBAL_SYSTEM_ID:
+            message = f"id {node.id!r} is reserved for the global system"
+            findings.append(
+                Finding(Severity.ERROR, "model.duplicate-id", node.id, message, node.span)
+            )
 
     for kind in PRIMARY_ACTORS:
         if not any(a.kind == kind for a in tree.actors):
@@ -453,22 +468,26 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
                 )
             )
 
-    actors: list[ActorDecl] = []
-    for order, node in enumerate(tree.actors):
-        claims: set[NfrKey] = set()
-        for claim in node.claims:
-            try:
-                claims.add(NfrKey(claim.ordinal))
-            except ValueError:
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "model.unknown-nfr",
-                        node.id,
-                        f"NFR{claim.ordinal} is not a known NFR key",
-                        claim.span,
-                    )
+    def nfr_key(ordinal: int | None, subject: str, span: SourceSpan) -> NfrKey | None:
+        try:
+            return NfrKey(ordinal)
+        except ValueError:
+            name = "NFR key with that many digits" if ordinal is None else f"NFR{ordinal}"
+            findings.append(
+                Finding(
+                    Severity.ERROR,
+                    "model.unknown-nfr",
+                    subject,
+                    f"{name} is not a known NFR key",
+                    span,
                 )
+            )
+            return None
+
+    actors: list[ActorDecl] = []
+    for node in tree.actors:
+        keys = (nfr_key(claim.ordinal, node.id, claim.span) for claim in node.claims)
+        claims = {key for key in keys if key is not None}
         patterns: set[tuple[PatternSource, str]] = set()
         for ref in node.patterns:
             patterns.add((ref.source, ref.name))
@@ -551,18 +570,8 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
                 bad = True
         if bad:
             continue
-        try:
-            nfr = NfrKey(node.ordinal)
-        except ValueError:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.unknown-nfr",
-                    node.depender_ref,
-                    f"NFR{node.ordinal} is not a known NFR key",
-                    node.span,
-                )
-            )
+        nfr = nfr_key(node.ordinal, node.depender_ref, node.span)
+        if nfr is None:
             continue
         if depender == dependee:
             findings.append(

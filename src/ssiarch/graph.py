@@ -11,7 +11,7 @@ import enum
 from dataclasses import dataclass
 from itertools import product
 
-from ssiarch.dsl import SystemModel
+from ssiarch.dsl import GLOBAL_SYSTEM_ID, SystemModel
 from ssiarch.kb import ACTOR_ORDER, ActorKind, DependencyRelation, NfrKey, OwnershipMap
 
 
@@ -59,7 +59,7 @@ def build_graph(
     else:
         by_kind = {kind: [a.id for a in model.actors_of(kind)] for kind in ACTOR_ORDER}
         by_kind[ActorKind.WALLET] = [w.id for w in model.wallets]
-        by_kind[ActorKind.GLOBAL_SYSTEM] = ["system"]
+        by_kind[ActorKind.GLOBAL_SYSTEM] = [GLOBAL_SYSTEM_ID]
         bindings = [(w.owner_ref, w.id) for w in model.wallets]
     position = {
         node: (rank, i)

@@ -20,12 +20,15 @@ def _ident(rng: random.Random, used: set[str]) -> str:
             return name
 
 
-def random_model(rng: random.Random, kb: KnowledgeBase) -> SystemModel:
-    """A structurally valid, resolvable model in canonical form."""
+def random_model(
+    rng: random.Random, kb: KnowledgeBase, per_kind: int | None = None
+) -> SystemModel:
+    """A structurally valid, resolvable model in canonical form, with
+    `per_kind` actors of each kind (one or two, drawn, if None)."""
     used: set[str] = set()
     actors: list[ActorDecl] = []
     for kind in _KINDS:
-        for _ in range(rng.randint(1, 2)):
+        for _ in range(per_kind or rng.randint(1, 2)):
             claims = tuple(
                 sorted(rng.sample(list(NfrKey), k=rng.randint(0, 4)))
             )

@@ -226,6 +226,31 @@ def test_non_ascii_nfr_digits_are_exit_2(tmp_path):
         assert "expected NFR key" in err
 
 
+def test_overlong_nfr_key_is_a_finding(tmp_path):
+    model = tmp_path / "m.ssiarch"
+    model.write_text(
+        'system "x" { actor owner "a" { claims: [NFR%s]; } '
+        'actor issuer "i" {} actor verifier "v" {} }' % ("1" * 5000),
+        encoding="utf-8",
+    )
+    code, out, _ = invoke(["validate", "--model", str(model), "--format", "json"])
+    assert code == 1
+    assert [f["rule"] for f in json.loads(out)["findings"]] == ["model.unknown-nfr"]
+
+
+def test_actor_named_system_is_not_graphed(tmp_path):
+    model = tmp_path / "m.ssiarch"
+    model.write_text(
+        'system "x" { actor owner "system" {} actor issuer "i" {} actor verifier "v" {} }',
+        encoding="utf-8",
+    )
+    argv = ["graph", "--scope", "model", "--format", "dot", "--model", str(model)]
+    code, out, err = invoke(argv)
+    assert code == 2
+    assert not out
+    assert "reserved" in err
+
+
 def test_format_mismatch_rejected_before_reading_files(tmp_path):
     missing = str(tmp_path / "missing.ssiarch")
     code, out, err = invoke(["validate", "--model", missing, "--format", "dot"])

@@ -1,6 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssiarch.dsl import (
     DslSyntaxError,
@@ -13,6 +16,7 @@ from ssiarch.dsl import (
 from ssiarch.findings import Severity
 from ssiarch.kb import ActorKind, NfrKey
 from model_gen import mutate_text, random_model
+from reference_lexer import reference_tokenize
 
 MINIMAL = """
 system "campus" {
@@ -243,3 +247,113 @@ def test_nfr_key_takes_only_ascii_digits(kb, claim):
     result = load_model(text, kb)
     assert result.model is None
     assert [f.rule for f in result.findings] == ["syntax.parse"]
+
+
+def _with_owner_claims(claims: str) -> str:
+    owner = f'actor owner "alice" {{ claims: [{claims}]; }}'
+    return MINIMAL.replace('actor owner "alice" {}', owner)
+
+
+@pytest.mark.parametrize("digits", ["1" * 5000, "9" * 4301], ids=["5000-ones", "4301-nines"])
+def test_overlong_nfr_key_is_unknown_nfr(kb, digits):
+    for text in (
+        _with_owner_claims("NFR" + digits),
+        MINIMAL.rstrip()[:-1] + f'  depends "library" on "uni" : NFR{digits};\n}}\n',
+    ):
+        result = load_model(text, kb)
+        assert result.model is None
+        assert [f.rule for f in result.findings] == ["model.unknown-nfr"]
+        assert len(result.findings[0].message) < 100
+
+
+@pytest.mark.parametrize("key", ["NFR007", "NFR" + "0" * 5000 + "7"], ids=["NFR007", "NFR0...07"])
+def test_nfr_key_leading_zeros_keep_their_meaning(kb, key):
+    result = load_model(_with_owner_claims(key), kb)
+    (owner,) = result.model.actors_of(ActorKind.DATA_OWNER)
+    assert owner.claims == (NfrKey.NFR7,)
+
+
+def test_unknown_nfr_message_names_the_ordinal(kb):
+    (finding,) = load_model(_with_owner_claims("NFR099"), kb).findings
+    assert finding.message == "NFR99 is not a known NFR key"
+
+
+@pytest.mark.parametrize("renamed", ["alice", "uni", "phone"])
+def test_global_system_id_is_reserved(kb, renamed):
+    result = load_model(MINIMAL.replace(f'"{renamed}"', '"system"'), kb)
+    assert result.model is None
+    assert [f.rule for f in result.findings] == ["model.duplicate-id"]
+    assert result.findings[0].subject == "system"
+    assert "reserved" in result.findings[0].message
+
+
+#: Fragments that together reach every branch of the lexer: blanks
+#: (including a bare carriage return), comments, each punctuation mark,
+#: quotes and backslashes, keywords, words, NFR keys, and characters
+#: that are letters, digit-like but not letters, or not allowed at all.
+_FRAGMENTS = [
+    " ", "\t", "\r", "\n", "\r\n", "#", "# note", "{", "}", "[", "]", ",", ";", ":",
+    '"', "\\", '\\"', "\\\\", '"abc"', "system", "actor", "owner", "wallet", "for",
+    "A", "B", "_", "x1", "NFR", "NFR7", "NFR007", "NFR24", "NFR0", "é", "ß", "漢", "Ω",
+    "²", "١", "7", "@", "%", "\x00", "\x7f", "\u00a0",
+]
+_LEXER_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(_FRAGMENTS),
+        st.integers(0, 10**30).map(lambda n: f"NFR{n}"),
+    ),
+    max_size=40,
+).map("".join)
+
+
+def _lexed(tokens_of, text):
+    """The tokens of `text`, or the lexical error's message and span."""
+    try:
+        return tokens_of(text)
+    except DslSyntaxError as exc:
+        return exc.message, exc.span
+
+
+def _token_fields(text):
+    return [(t.kind, t.text, t.span, t.value) for t in tokenize(text)]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_LEXER_TEXT, st.text(max_size=30)))
+def test_tokenize_agrees_with_reference_lexer(text):
+    assert _lexed(_token_fields, text) == _lexed(reference_tokenize, text)
+
+
+#: A random model's text with lexer fragments spliced in at a drawn offset.
+_SPLICED_MODEL = st.tuples(st.integers(0, 50), st.integers(0, 10**6), _LEXER_TEXT)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_LEXER_TEXT, st.text(max_size=60), _SPLICED_MODEL))
+def test_load_model_never_raises(kb, text):
+    if isinstance(text, tuple):
+        seed, cut, junk = text
+        model = format_model(random_model(random.Random(seed), kb))
+        cut %= len(model) + 1
+        text = model[:cut] + junk + model[cut:]
+    result = load_model(text, kb)
+    has_errors = any(f.severity is Severity.ERROR for f in result.findings)
+    assert (result.model is None) == has_errors
+    assert result.model is not None or result.findings
+
+
+def test_tokenize_memory_per_token(kb):
+    """A token is one tuple whose span is built on demand. Peak
+    allocation per token on a 200-actor-per-kind model is about 130
+    bytes this way and about 245 when each token holds span objects;
+    the bound sits between the two. tracemalloc counts bytes, so the
+    figure does not depend on the host's speed."""
+    text = format_model(random_model(random.Random(7), kb, per_kind=200))
+    tracemalloc.start()
+    try:
+        tokens = tokenize(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) > 10_000
+    assert peak / len(tokens) < 180
