@@ -198,8 +198,7 @@ def _cmd_graph(args, kb: KnowledgeBase) -> Report:
             messages = "; ".join(f.message for f in result.findings)
             raise CliError(f"model does not resolve: {messages}")
         model = result.model
-    scope = graphmod.GraphScope(args.scope)
-    g = graphmod.build_graph(kb.dependencies, kb.ownership, scope=scope, model=model)
+    g = graphmod.build_graph(kb.dependencies, kb.ownership, model)
     return Report("graph", (), {"graph": g})
 
 

@@ -226,13 +226,6 @@ class ActorNode:
 
 
 @dataclass
-class WalletNode:
-    id: str
-    owner_ref: str
-    span: SourceSpan
-
-
-@dataclass
 class DepNode:
     depender_ref: str
     dependee_ref: str
@@ -244,7 +237,7 @@ class DepNode:
 class ModelNode:
     name: str
     actors: list[ActorNode]
-    wallets: list[WalletNode]
+    wallets: list[WalletDecl]
     deps: list[DepNode]
     span: SourceSpan
 
@@ -291,7 +284,7 @@ class _Parser:
         name = self.expect(TokenKind.STRING, "system name string")
         self.expect(TokenKind.LBRACE, "'{'")
         actors: list[ActorNode] = []
-        wallets: list[WalletNode] = []
+        wallets: list[WalletDecl] = []
         deps: list[DepNode] = []
         while self.current.kind is not TokenKind.RBRACE:
             if self.at_kw("actor"):
@@ -361,7 +354,7 @@ class _Parser:
         tok = self.expect(TokenKind.NFRKEY, "NFR key")
         return ClaimRef(tok.value, tok.span)  # type: ignore[arg-type]
 
-    def parse_wallet(self) -> WalletNode:
+    def parse_wallet(self) -> WalletDecl:
         start = self.expect_kw("wallet").span
         ident = self.expect(TokenKind.STRING, "wallet id string")
         self.expect(TokenKind.LBRACE, "'{'")
@@ -370,7 +363,7 @@ class _Parser:
         owner_ref = self.expect(TokenKind.STRING, "owner id string")
         self.expect(TokenKind.SEMI, "';'")
         self.expect(TokenKind.RBRACE, "'}'")
-        return WalletNode(str(ident.value), str(owner_ref.value), start)
+        return WalletDecl(str(ident.value), str(owner_ref.value), start)
 
     def parse_dep(self) -> DepNode:
         start = self.expect_kw("depends").span
@@ -436,7 +429,7 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
     complete pattern catalogs live in extension files)."""
     findings: list[Finding] = []
 
-    ids: dict[str, ActorNode | WalletNode] = {}
+    ids: dict[str, ActorNode | WalletDecl] = {}
     for node in [*tree.actors, *tree.wallets]:
         if node.id in ids:
             findings.append(
@@ -541,13 +534,13 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
             )
             continue
         owners_with_wallet.add(node.owner_ref)
-        wallets.append(WalletDecl(node.id, node.owner_ref, node.span))
+        wallets.append(node)
 
     def kind_of(ref: str) -> ActorKind | None:
         target = ids.get(ref)
         if isinstance(target, ActorNode):
             return target.kind
-        if isinstance(target, WalletNode):
+        if isinstance(target, WalletDecl):
             return ActorKind.WALLET
         return None
 

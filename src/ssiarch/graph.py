@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import product
 
 from ssiarch.dsl import GLOBAL_SYSTEM_ID, SystemModel
 from ssiarch.kb import ACTOR_ORDER, ActorKind, DependencyRelation, NfrKey, OwnershipMap
@@ -20,9 +19,8 @@ class EdgeKind(enum.Enum):
     OWNERSHIP = "O"
 
 
-class GraphScope(enum.Enum):
-    KB_ONLY = "kb"
-    MODEL_SCOPED = "model"
+#: The kinds whose relations follow the owner-wallet binding.
+_BOUND_KINDS = {ActorKind.DATA_OWNER, ActorKind.WALLET}
 
 
 @dataclass(frozen=True)
@@ -42,54 +40,56 @@ class DepGraph:
 def build_graph(
     relations: frozenset[DependencyRelation] | set[DependencyRelation],
     ownership: OwnershipMap | dict[NfrKey, frozenset[ActorKind]] | None = None,
-    scope: GraphScope = GraphScope.KB_ONLY,
     model: SystemModel | None = None,
 ) -> DepGraph:
-    """One node per actor kind (KB scope) or per declared instance
-    (model scope); a D-edge per relation and an O-edge per (owner, NFR)
-    pair. Owner-wallet relations link each wallet only to the owner it
-    is bound to. Only nodes used by some edge appear."""
-    if scope is GraphScope.KB_ONLY:
+    """One node per actor kind, or per declared instance when a model is
+    given; a D-edge per relation and an O-edge per (owner, NFR) pair.
+    Owner-wallet relations link each wallet only to the owner it is
+    bound to. Only nodes used by some edge appear. Edges are built in
+    canonical order (source, target, NFR), so nothing is sorted."""
+    if model is None:
         # KB scope is model scope with one instance per kind, the one
         # wallet bound to the one owner.
-        by_kind = {kind: [kind.code] for kind in ACTOR_ORDER}
+        by_kind = {kind: (kind.code,) for kind in ACTOR_ORDER}
         bindings = [("o", "w")]
-    elif model is None:
-        raise ValueError("model-scoped graph requires a model")
     else:
-        by_kind = {kind: [a.id for a in model.actors_of(kind)] for kind in ACTOR_ORDER}
-        by_kind[ActorKind.WALLET] = [w.id for w in model.wallets]
-        by_kind[ActorKind.GLOBAL_SYSTEM] = [GLOBAL_SYSTEM_ID]
+        by_kind = {kind: tuple(a.id for a in model.actors_of(kind)) for kind in ACTOR_ORDER}
+        by_kind[ActorKind.WALLET] = tuple(w.id for w in model.wallets)
+        by_kind[ActorKind.GLOBAL_SYSTEM] = (GLOBAL_SYSTEM_ID,)
         bindings = [(w.owner_ref, w.id) for w in model.wallets]
-    position = {
-        node: (rank, i)
-        for rank, kind in enumerate(ACTOR_ORDER)
-        for i, node in enumerate(by_kind[kind])
-    }
-    bound = {
-        (ActorKind.DATA_OWNER, ActorKind.WALLET): bindings,
-        (ActorKind.WALLET, ActorKind.DATA_OWNER): [(w, o) for o, w in bindings],
-    }
+    partner = {owner: (wallet,) for owner, wallet in bindings}
+    partner.update({wallet: (owner,) for owner, wallet in bindings})
 
-    edges: set[tuple[str, str, NfrKey, EdgeKind]] = set()
-    for rel in relations:
-        kinds = (rel.depender, rel.dependee)
-        pairs = bound[kinds] if kinds in bound else product(*(by_kind[k] for k in kinds))
-        for src, dst in pairs:
-            if src != dst:
-                edges.add((src, dst, rel.nfr, EdgeKind.DEPENDENCY))
-    owners = ownership.owners if isinstance(ownership, OwnershipMap) else ownership or {}
-    for nfr, owner_kinds in owners.items():
-        for kind in owner_kinds:
-            for node in by_kind[kind]:
-                edges.add((node, node, nfr, EdgeKind.OWNERSHIP))
+    # NFRs per (source kind, target kind). Owned NFRs go under (kind,
+    # kind), which no relation uses: DependencyRelation rejects a kind
+    # depending on itself.
+    owned = ownership.owners if isinstance(ownership, OwnershipMap) else ownership or {}
+    triples = [rel.triple for rel in relations]
+    triples += [(kind, kind, nfr) for nfr, kinds in owned.items() for kind in kinds]
+    nfrs_of: dict[tuple[ActorKind, ActorKind], list[NfrKey]] = {}
+    for src_kind, dst_kind, nfr in triples:
+        nfrs_of.setdefault((src_kind, dst_kind), []).append(nfr)
+    for nfrs in nfrs_of.values():
+        nfrs.sort()
 
-    used = {src for src, _, _, _ in edges} | {dst for _, dst, _, _ in edges}
-    nodes = tuple(sorted(used, key=position.__getitem__))
-    ordered = tuple(
-        sorted(edges, key=lambda e: (position[e[0]], position[e[1]], int(e[2]), e[3].value))
-    )
-    return DepGraph(nodes=nodes, edges=ordered)
+    edges: list[tuple[str, str, NfrKey, EdgeKind]] = []
+    used: set[str] = set()
+    for src_kind in ACTOR_ORDER:
+        for src in by_kind[src_kind]:
+            for dst_kind in ACTOR_ORDER:
+                nfrs = nfrs_of.get((src_kind, dst_kind), ())
+                if dst_kind is src_kind:
+                    dsts, kind = (src,), EdgeKind.OWNERSHIP
+                elif {src_kind, dst_kind} == _BOUND_KINDS:
+                    dsts, kind = partner.get(src, ()), EdgeKind.DEPENDENCY
+                else:
+                    dsts, kind = by_kind[dst_kind], EdgeKind.DEPENDENCY
+                if nfrs and dsts:
+                    edges.extend([(src, dst, nfr, kind) for dst in dsts for nfr in nfrs])
+                    used.add(src)
+                    used.update(dsts)
+    nodes = tuple(node for kind in ACTOR_ORDER for node in by_kind[kind] if node in used)
+    return DepGraph(nodes=nodes, edges=tuple(edges))
 
 
 def _dot_id(node: str) -> str:
@@ -97,23 +97,29 @@ def _dot_id(node: str) -> str:
         c.isalnum() or c == "_" for c in node
     ):
         return node
-    return '"' + node.replace('"', '\\"') + '"'
+    return '"' + node.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def to_dot(graph: DepGraph) -> str:
-    """Valid DOT digraph; byte-identical for equal graphs."""
-    lines = ["digraph deps {"]
-    for node in graph.nodes:
-        lines.append(f"  {_dot_id(node)};")
+    """Valid DOT digraph; byte-identical for equal graphs. An id that is
+    not a plain identifier is quoted, with `\\` and `"` escaped."""
+    ids = {node: _dot_id(node) for node in graph.nodes}
+    lines = ["digraph deps {", *(f"  {ids[node]};" for node in graph.nodes)]
     for src, dst, nfr, kind in graph.edges:
-        lines.append(f'  {_dot_id(src)} -> {_dot_id(dst)} [label="{kind.value}:{nfr.name}"];')
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{kind.value}:{nfr.name}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
+#: TSV id escapes, so an id is always one field on one line.
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\r": "\\r", "\n": "\\n"})
+
+
 def to_tsv(graph: DepGraph) -> str:
-    """Line-oriented export: from<TAB>to<TAB>kind<TAB>nfr."""
-    lines = [f"{src}\t{dst}\t{kind.value}\t{nfr.name}" for src, dst, nfr, kind in graph.edges]
+    """Line-oriented export: from<TAB>to<TAB>kind<TAB>nfr. In ids, `\\`,
+    TAB, CR and LF are written as `\\\\`, `\\t`, `\\r` and `\\n`."""
+    ids = {node: node.translate(_TSV_ESCAPES) for node in graph.nodes}
+    lines = [f"{ids[s]}\t{ids[d]}\t{kind.value}\t{nfr.name}" for s, d, nfr, kind in graph.edges]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

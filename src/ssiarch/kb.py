@@ -45,12 +45,13 @@ class NfrKey(enum.IntEnum):
 
 
 def parse_nfr_key(text: str) -> NfrKey:
-    """Parse "NFR1".."NFR24"; raises KbError on anything else."""
+    """Parse "NFR1".."NFR24", `NFR` then ASCII digits as in the DSL;
+    raises KbError on anything else."""
     t = text.strip()
-    if t.startswith("NFR"):
+    if t.startswith("NFR") and (digits := t[3:]).isascii() and digits.isdigit():
         try:
-            return NfrKey(int(t[3:]))
-        except ValueError:
+            return NfrKey(int(digits))
+        except ValueError:  # out of range, or past int()'s digit limit
             pass
     raise KbError(f"unknown NFR key: {text!r} (expected NFR1..NFR24)")
 

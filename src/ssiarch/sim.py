@@ -52,19 +52,6 @@ def verify_tag(issuer_id: str, payload: bytes, tag: bytes) -> bool:
 
 
 @dataclass(frozen=True)
-class Credential:
-    id: str
-    issuer_id: str
-    subject_id: str
-    attributes: dict[str, str]
-    tag: bytes
-
-    def __post_init__(self) -> None:
-        if not self.attributes:
-            raise ValueError("credential attributes must be non-empty")
-
-
-@dataclass(frozen=True)
 class PresentationRequest:
     verifier_id: str
     requested_attributes: frozenset[str]
@@ -74,15 +61,6 @@ class PresentationRequest:
         if not self.requested_attributes:
             raise ValueError("a presentation request must name attributes")
         object.__setattr__(self, "requested_attributes", frozenset(self.requested_attributes))
-
-
-@dataclass(frozen=True)
-class Presentation:
-    credential_id: str
-    disclosed: dict[str, str]
-    issuer_id: str
-    tag: bytes
-    full_payload_commitment: str
 
 
 class EventKind(enum.Enum):
@@ -156,12 +134,9 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     """Execute the scenario; faults surface as denied outcomes or as
     trace-check findings, never as exceptions."""
     events: list[SimEvent] = []
-    seq = 0
 
     def emit(kind: EventKind, actor: str, **payload) -> None:
-        nonlocal seq
-        seq += 1
-        events.append(SimEvent(seq=seq, kind=kind, actor=actor, payload=payload))
+        events.append(SimEvent(seq=len(events) + 1, kind=kind, actor=actor, payload=payload))
 
     toggles = scenario.toggles
     if not toggles.skip_issuance_consent:
@@ -176,28 +151,18 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
     credential_id = "cred-1"
     payload = canonical_payload(credential_id, scenario.owner_id, scenario.attributes)
-    credential = Credential(
-        id=credential_id,
-        issuer_id=scenario.issuer_id,
-        subject_id=scenario.owner_id,
-        attributes=dict(scenario.attributes),
-        tag=tag_of(scenario.issuer_id, payload),
-    )
+    tag = tag_of(scenario.issuer_id, payload)
     emit(
-        EventKind.CREDENTIAL_ISSUED,
-        scenario.issuer_id,
-        credential_id=credential.id,
-        tag=credential.tag.hex(),
+        EventKind.CREDENTIAL_ISSUED, scenario.issuer_id, credential_id=credential_id, tag=tag.hex()
     )
 
-    revocation_registry = {credential.id: False}
-    if toggles.revoke_before_presentation:
-        revocation_registry[credential.id] = True
-        emit(EventKind.REVOKED, scenario.issuer_id, credential_id=credential.id)
+    revoked = toggles.revoke_before_presentation
+    if revoked:
+        emit(EventKind.REVOKED, scenario.issuer_id, credential_id=credential_id)
 
     # The wallet's copy of the credential body; tampering mutates it
     # after issuance, so the recomputed tag no longer matches.
-    wallet_attributes = dict(credential.attributes)
+    wallet_attributes = dict(scenario.attributes)
     if toggles.tamper_attribute is not None:
         wallet_attributes[toggles.tamper_attribute] += "*"
 
@@ -213,36 +178,22 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     if toggles.over_disclose:
         disclosed_keys = sorted(wallet_attributes)
     else:
-        disclosed_keys = sorted(
-            scenario.request.requested_attributes & set(wallet_attributes)
-        )
-    wallet_payload = canonical_payload(credential.id, scenario.owner_id, wallet_attributes)
-    presentation = Presentation(
-        credential_id=credential.id,
-        disclosed={k: wallet_attributes[k] for k in disclosed_keys},
-        issuer_id=credential.issuer_id,
-        tag=credential.tag,
-        full_payload_commitment=hashlib.sha256(wallet_payload).hexdigest(),
-    )
+        disclosed_keys = sorted(scenario.request.requested_attributes & set(wallet_attributes))
+    wallet_payload = canonical_payload(credential_id, scenario.owner_id, wallet_attributes)
     emit(
         EventKind.PRESENTED,
         scenario.owner_id,
-        credential_id=presentation.credential_id,
+        credential_id=credential_id,
         disclosed=disclosed_keys,
-        commitment=presentation.full_payload_commitment,
+        commitment=hashlib.sha256(wallet_payload).hexdigest(),
     )
 
-    signature_ok = verify_tag(presentation.issuer_id, wallet_payload, presentation.tag)
+    signature_ok = verify_tag(scenario.issuer_id, wallet_payload, tag)
     emit(EventKind.SIGNATURE_VERIFIED, scenario.verifier_id, success=signature_ok)
-    revoked = revocation_registry[credential.id]
     emit(EventKind.REVOCATION_CHECKED, scenario.verifier_id, revoked=revoked)
 
     if signature_ok and not revoked:
-        emit(
-            EventKind.ACCESS_GRANTED,
-            scenario.verifier_id,
-            used_attributes=disclosed_keys,
-        )
+        emit(EventKind.ACCESS_GRANTED, scenario.verifier_id, used_attributes=disclosed_keys)
         outcome = Outcome.GRANTED
     else:
         emit(EventKind.ACCESS_DENIED, scenario.verifier_id)

@@ -1,10 +1,13 @@
 """Seeded random generators for resolvable models and mutated inputs,
-shared by the DSL tests and the acceptance suite."""
+shared by the DSL tests and the acceptance suite, and a hypothesis
+strategy for record fields of `.kbx` and `.scenario` files."""
 
 from __future__ import annotations
 
 import random
 import string
+
+from hypothesis import strategies as st
 
 from ssiarch.dsl import ActorDecl, SystemModel, WalletDecl, format_model
 from ssiarch.kb import ActorKind, KnowledgeBase, NfrKey
@@ -77,4 +80,10 @@ def mutate_text(rng: random.Random, text: str) -> str:
     return "sytsem" + text[6:]
 
 
-__all__ = ["random_model", "mutate_text", "format_model"]
+def record_field(key: str, *spellings: str) -> st.SearchStrategy[str]:
+    """`key = value` with a value drawn from `spellings` or arbitrary text."""
+    value = st.one_of(st.sampled_from(spellings), st.text(max_size=12))
+    return value.map(f"{key} = {{}}".format)
+
+
+__all__ = ["random_model", "mutate_text", "format_model", "record_field"]

@@ -319,3 +319,12 @@ def test_exit_code_contract(inputs):
         with contextlib.redirect_stderr(io.StringIO()):
             code = run(argv, out=out, err=err)
     assert code in (0, 1, 2)
+
+
+def test_extension_nfr_key_spelling_is_exit_2(tmp_path):
+    bad = tmp_path / "bad.kbx"
+    bad.write_text("[dependency]\ndepender = v\ndependee = o\nnfr = NFR+1\n", encoding="utf-8")
+    code, out, err = invoke(["deps", "--kb", str(bad)])
+    assert code == 2
+    assert not out
+    assert "line 4" in err and "NFR+1" in err

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssiarch.extension import (
@@ -17,6 +17,8 @@ from ssiarch.kb import (
     Provenance,
     builtin_kb,
 )
+
+from model_gen import record_field
 
 SINGLE_DEP = """
 [dependency]
@@ -174,3 +176,47 @@ def test_merge_is_monotone(rels):
     merged = merge(kb, delta)
     assert kb.dependencies <= merged.dependencies
     assert len(merged.dependencies) >= len(kb.dependencies)
+
+
+_KBX_FIELDS = {
+    "dependency": (
+        record_field("nfr", "NFR1", "NFR24", "NFR007", "NFR25", "NFR+1", "NFR١", "NFR1_0"),
+        record_field("depender", "o", "v", "w", "s", "owner", "holder"),
+        record_field("dependee", "i", "v", "w", "issuer", ""),
+        record_field("rationale", "why", ""),
+    ),
+    "pattern": (
+        record_field("name", "X", ""),
+        record_field("source", "A", "B", "C"),
+        record_field("nfrs", "NFR1", "NFR1, NFR2", ",", "", "NFR0"),
+    ),
+}
+#: Well-formed records with fuzzed values.
+_KBX_RECORD = st.one_of(
+    [
+        st.tuples(*fields).map(lambda lines, h=header: "\n".join([f"[{h}]", *lines]))
+        for header, fields in _KBX_FIELDS.items()
+    ]
+)
+#: Lines with record structure, in any order: headers, fields, comments,
+#: blank lines and arbitrary text.
+_KBX_LINE = st.one_of(
+    st.sampled_from(["[dependency]", "[pattern]", "[dependency", "[]", "# note", ""]),
+    *[field for fields in _KBX_FIELDS.values() for field in fields],
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=80),
+        st.lists(_KBX_LINE, max_size=12).map("\n".join),
+        st.lists(_KBX_RECORD, max_size=4).map("\n".join),
+    )
+)
+def test_load_extension_raises_only_extension_error(text):
+    try:
+        load_extension(text)
+    except ExtensionError:
+        pass

@@ -1,18 +1,23 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssiarch.dsl import load_model
 from ssiarch.graph import (
     DepGraph,
     EdgeKind,
-    GraphScope,
     build_graph,
     graph_stats,
     to_dot,
     to_tsv,
 )
-from ssiarch.kb import ActorKind, DependencyRelation, NfrKey
+from ssiarch.kb import ActorKind, DependencyRelation, NfrKey, OwnershipMap
+
+from model_gen import random_model
+from reference_graph import reference_build_graph
 
 
 def test_builtin_relations_graph(kb):
@@ -117,16 +122,11 @@ def test_model_scoped_graph(kb):
     }
     """
     model = load_model(text, kb).model
-    g = build_graph(kb.dependencies, scope=GraphScope.MODEL_SCOPED, model=model)
+    g = build_graph(kb.dependencies, model=model)
     # (v, o) relations fan out to each declared owner instance
     assert ("library", "alice", NfrKey.NFR1, EdgeKind.DEPENDENCY) in g.edges
     assert ("library", "bob", NfrKey.NFR1, EdgeKind.DEPENDENCY) in g.edges
     assert ("alice", "phone", NfrKey.NFR4, EdgeKind.DEPENDENCY) in g.edges
-
-
-def test_model_scope_requires_model(kb):
-    with pytest.raises(ValueError):
-        build_graph(kb.dependencies, scope=GraphScope.MODEL_SCOPED)
 
 
 def test_edges_must_reference_nodes():
@@ -146,9 +146,87 @@ def test_model_scoped_graph_follows_wallet_binding(kb):
     }
     """
     model = load_model(text, kb).model
-    g = build_graph(kb.dependencies, kb.ownership, scope=GraphScope.MODEL_SCOPED, model=model)
+    g = build_graph(kb.dependencies, kb.ownership, model=model)
     pairs = {(src, dst) for src, dst, _, kind in g.edges if kind is EdgeKind.DEPENDENCY}
     assert ("alice", "pa") in pairs
     assert ("bob", "pb") in pairs
     assert ("alice", "pb") not in pairs
     assert ("bob", "pa") not in pairs
+
+
+_RELATIONS = st.sets(
+    st.tuples(st.sampled_from(ActorKind), st.sampled_from(ActorKind), st.sampled_from(NfrKey))
+    .filter(lambda t: t[0] != t[1])
+    .map(lambda t: DependencyRelation(*t)),
+    max_size=40,
+)
+_OWNERS = st.dictionaries(
+    st.sampled_from(NfrKey), st.frozensets(st.sampled_from(ActorKind), min_size=1)
+)
+_OWNERSHIP = st.one_of(
+    st.none(),
+    _OWNERS,
+    st.fixed_dictionaries(
+        {nfr: st.frozensets(st.sampled_from(ActorKind), min_size=1) for nfr in NfrKey}
+    ).map(OwnershipMap),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_RELATIONS, _OWNERSHIP, st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 4)))
+def test_build_graph_agrees_with_reference(kb, relations, ownership, model_seed):
+    model = None
+    if model_seed is not None:
+        seed, per_kind = model_seed
+        model = random_model(random.Random(seed), kb, per_kind or None)
+    g = build_graph(relations, ownership, model)
+    assert (g.nodes, g.edges) == reference_build_graph(relations, ownership, model)
+
+
+def _unquote_dot(dot_id):
+    if not dot_id.startswith('"'):
+        return dot_id
+    return re.sub(r"\\(.)", r"\1", dot_id[1:-1])
+
+
+_AWKWARD_IDS = ('a\\\\', 'q\\"x', "i\tj", "c\rr", '\\\\\\"\\\\', "plain")
+
+
+def _awkward_model(kb):
+    owner, issuer, verifier, wallet, quoted, plain = _AWKWARD_IDS
+    text = (
+        f'system "x" {{ actor owner "{owner}" {{}} actor issuer "{issuer}" {{}} '
+        f'actor verifier "{verifier}" {{}} actor verifier "{quoted}" {{}} '
+        f'actor verifier "{plain}" {{}} wallet "{wallet}" {{ for: "{owner}"; }} }}'
+    )
+    result = load_model(text, kb)
+    assert result.model is not None, result.findings
+    return result.model
+
+
+def test_dot_ids_escape_backslash_and_quote(kb):
+    g = build_graph(kb.dependencies, kb.ownership, _awkward_model(kb))
+    dot_id = r'"(?:[^"\\]|\\.)*"|\w+'
+    node_line = re.compile(rf"  ({dot_id});")
+    edge_line = re.compile(rf'  ({dot_id}) -> ({dot_id}) \[label="[DO]:NFR\d+"\];')
+    lines = to_dot(g).split("\n")[1:-2]  # not splitlines: an id may hold a CR
+    nodes = [node_line.fullmatch(line) for line in lines[: len(g.nodes)]]
+    edges = [edge_line.fullmatch(line) for line in lines[len(g.nodes) :]]
+    assert all(nodes) and all(edges)
+    assert tuple(_unquote_dot(m[1]) for m in nodes) == g.nodes
+    assert [tuple(map(_unquote_dot, m.groups())) for m in edges] == [e[:2] for e in g.edges]
+    assert '  "a\\\\";' in lines
+
+
+def _unescape_tsv(field):
+    return re.sub(r"\\(.)", lambda m: {"t": "\t", "r": "\r", "n": "\n"}.get(m[1], m[1]), field)
+
+
+def test_tsv_ids_escape_tab_cr_and_backslash(kb):
+    g = build_graph(kb.dependencies, kb.ownership, _awkward_model(kb))
+    rows = [line.split("\t") for line in to_tsv(g).split("\n")[:-1]]
+    assert all(len(row) == 4 for row in rows)
+    assert [(_unescape_tsv(src), _unescape_tsv(dst)) for src, dst, _, _ in rows] == [
+        e[:2] for e in g.edges
+    ]
+    assert ["i\\tj", "a\\\\", "D", "NFR1"] in rows

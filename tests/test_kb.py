@@ -130,3 +130,16 @@ def test_kb_is_immutable(kb):
 
 def test_builtin_kb_is_cached():
     assert builtin_kb() is builtin_kb()
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["NFR+1", "NFR 1", "NFR١", "NFR²", "NFR1_0", "NFR-1", " NFR 7 ", "NFR", "NFR" + "1" * 5000],
+)
+def test_parse_nfr_key_takes_ascii_digits_only(text):
+    with pytest.raises(KbError):
+        parse_nfr_key(text)
+
+
+def test_parse_nfr_key_keeps_leading_zeros():
+    assert parse_nfr_key("NFR007") is NfrKey.NFR7

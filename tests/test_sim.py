@@ -1,7 +1,11 @@
 import dataclasses
+import itertools
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ssiarch.extension import ExtensionError
 from ssiarch.sim import (
@@ -20,6 +24,8 @@ from ssiarch.sim import (
     tag_of,
     verify_tag,
 )
+
+from model_gen import record_field
 
 
 def base_scenario(attributes=None, requested=("degree",), toggles=Toggles()):
@@ -262,3 +268,85 @@ def test_overdisclosure_of_unrequested_attribute_detected(kb):
     findings = check_trace(forged, kb)
     assert [f.rule for f in findings] == ["sim.nfr14.overdisclosure"]
     assert findings[0].message.endswith("requested minimum: name")
+
+
+_SCENARIO_FIELDS = (
+    record_field("issuer", "uni", ""),
+    record_field("owner", "alice"),
+    record_field("verifier", "lib"),
+    record_field("attributes", "a=1, b=2", "a=1", "a=1, a=2", ",", "", "a", "=1"),
+    record_field("request", "a", "b", "a, b", ",", ""),
+    record_field(
+        "toggles",
+        "",
+        "over_disclose",
+        "skip_issuance_consent, revoke_before_presentation",
+        "tamper_attribute=a",
+        "tamper_attribute=b",
+        "tamper_attribute=",
+        "warp_speed",
+    ),
+)
+#: Well-formed records with fuzzed values.
+_SCENARIO_RECORD = st.tuples(*_SCENARIO_FIELDS).map(
+    lambda lines: "\n".join(["[scenario]", *lines])
+)
+#: Lines with record structure, in any order: headers, fields, comments,
+#: blank lines and arbitrary text.
+_SCENARIO_LINE = st.one_of(
+    st.sampled_from(["[scenario]", "[dependency]", "[scenario", "# note", ""]),
+    *_SCENARIO_FIELDS,
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.text(max_size=80),
+        st.lists(_SCENARIO_LINE, max_size=14).map("\n".join),
+        st.lists(_SCENARIO_RECORD, max_size=3).map("\n".join),
+    )
+)
+def test_load_scenarios_raises_only_extension_error(text):
+    try:
+        load_scenarios(text)
+    except ExtensionError:
+        pass
+
+
+SIM_GOLDEN = Path(__file__).resolve().parent / "golden" / "sim_traces.txt"
+_FLAGS = (
+    "skip_issuance_consent",
+    "skip_presentation_consent",
+    "revoke_before_presentation",
+    "over_disclose",
+)
+
+
+def sim_traces_text(kb):
+    """The exported trace, outcome and finding rules of the base scenario
+    under all 32 toggle combinations, one block each."""
+    blocks = []
+    for tamper in (None, "degree"):
+        for bits in itertools.product((False, True), repeat=len(_FLAGS)):
+            toggles = Toggles(tamper_attribute=tamper, **dict(zip(_FLAGS, bits)))
+            trace = run_scenario(base_scenario(toggles=toggles))
+            rules = " ".join(f.rule for f in check_trace(trace, kb)) or "-"
+            blocks.append(
+                f"# {toggles}\noutcome {trace.outcome.value}\nrules {rules}\n"
+                + export_trace(trace)
+            )
+    return "".join(blocks)
+
+
+def test_traces_match_golden(kb):
+    assert sim_traces_text(kb) == SIM_GOLDEN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # Regenerate the golden file (only when a trace change is intended):
+    # PYTHONPATH=src python tests/test_sim.py
+    from ssiarch.kb import builtin_kb
+
+    SIM_GOLDEN.write_text(sim_traces_text(builtin_kb()), encoding="utf-8")
