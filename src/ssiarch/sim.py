@@ -64,6 +64,10 @@ class PresentationRequest:
 
 
 class EventKind(enum.Enum):
+    # Members hash by identity, in C, not through Enum's Python-level
+    # `__hash__`: check_trace groups every event of a trace by kind.
+    __hash__ = object.__hash__
+
     CONSENT_GRANTED = "ConsentGranted"
     CREDENTIAL_REQUESTED = "CredentialRequested"
     SCHEMA_SELECTED = "SchemaSelected"
@@ -114,6 +118,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.attributes:
             raise ValueError("scenario attributes must be non-empty")
+        if self.request.verifier_id != self.verifier_id:
+            raise ValueError(
+                f"request verifier {self.request.verifier_id!r} is not the scenario verifier"
+                f" {self.verifier_id!r}"
+            )
         tampered = self.toggles.tamper_attribute
         if tampered is not None and tampered not in self.attributes:
             raise ValueError(f"tamper_attribute {tampered!r} is not a scenario attribute")
@@ -203,7 +212,11 @@ def run_scenario(scenario: Scenario) -> SimTrace:
 
 def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
     """Check one trace against NFR semantics; raises TraceOrderError on
-    a malformed sequence, otherwise all outcomes are findings."""
+    a malformed sequence, otherwise all outcomes are findings. Every
+    issuance, presentation and grant is checked, not only the first:
+    each needs the consent or checks that precede it, and a grant may
+    use only attributes that some presentation in the trace disclosed."""
+    events_of: dict[EventKind, list[SimEvent]] = {}
     last_seq = 0
     for event in trace.events:
         if event.seq <= last_seq:
@@ -211,6 +224,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
                 f"event seq {event.seq} does not increase after {last_seq}"
             )
         last_seq = event.seq
+        events_of.setdefault(event.kind, []).append(event)
 
     findings: list[Finding] = []
 
@@ -225,49 +239,47 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
         )
 
     def first(kind: EventKind) -> SimEvent | None:
-        for event in trace.events:
-            if event.kind is kind:
-                return event
-        return None
+        return events_of.get(kind, (None,))[0]
 
-    issued = first(EventKind.CREDENTIAL_ISSUED)
     consent = first(EventKind.CONSENT_GRANTED)
-    if issued is not None and (consent is None or consent.seq > issued.seq):
-        note(
-            "sim.nfr6.issuance",
-            NfrKey.NFR6,
-            issued.actor,
-            "credential issued without prior data-owner consent",
-        )
-
-    presented = first(EventKind.PRESENTED)
-    pres_consent = first(EventKind.PRESENTATION_CONSENT_GRANTED)
-    if presented is not None and (pres_consent is None or pres_consent.seq > presented.seq):
-        note(
-            "sim.nfr6.presentation",
-            NfrKey.NFR6,
-            presented.actor,
-            "credential presented without prior data-owner consent",
-        )
-
-    requested_event = first(EventKind.PRESENTATION_REQUESTED)
-    if presented is not None and requested_event is not None:
-        disclosed = set(presented.payload.get("disclosed", []))
-        requested = set(requested_event.payload.get("requested", []))
-        allowed = requested & set(trace.scenario.attributes)
-        if disclosed - allowed:
-            extra = ", ".join(sorted(disclosed - allowed))
+    for issued in events_of.get(EventKind.CREDENTIAL_ISSUED, ()):
+        if consent is None or consent.seq > issued.seq:
             note(
-                "sim.nfr14.overdisclosure",
-                NfrKey.NFR14,
-                presented.actor,
-                f"disclosed more than the requested minimum: {extra}",
+                "sim.nfr6.issuance",
+                NfrKey.NFR6,
+                issued.actor,
+                "credential issued without prior data-owner consent",
             )
 
-    granted = first(EventKind.ACCESS_GRANTED)
-    if granted is not None:
-        sig = first(EventKind.SIGNATURE_VERIFIED)
-        rev = first(EventKind.REVOCATION_CHECKED)
+    presented_events = events_of.get(EventKind.PRESENTED, ())
+    pres_consent = first(EventKind.PRESENTATION_CONSENT_GRANTED)
+    for presented in presented_events:
+        if pres_consent is None or pres_consent.seq > presented.seq:
+            note(
+                "sim.nfr6.presentation",
+                NfrKey.NFR6,
+                presented.actor,
+                "credential presented without prior data-owner consent",
+            )
+
+    requested_event = first(EventKind.PRESENTATION_REQUESTED)
+    if requested_event is not None:
+        requested = set(requested_event.payload.get("requested", []))
+        allowed = requested & set(trace.scenario.attributes)
+        for presented in presented_events:
+            extra = set(presented.payload.get("disclosed", [])) - allowed
+            if extra:
+                note(
+                    "sim.nfr14.overdisclosure",
+                    NfrKey.NFR14,
+                    presented.actor,
+                    f"disclosed more than the requested minimum: {', '.join(sorted(extra))}",
+                )
+
+    sig = first(EventKind.SIGNATURE_VERIFIED)
+    rev = first(EventKind.REVOCATION_CHECKED)
+    disclosed = {name for p in presented_events for name in p.payload.get("disclosed", [])}
+    for granted in events_of.get(EventKind.ACCESS_GRANTED, ()):
         sig_ok = sig is not None and sig.payload.get("success") and sig.seq < granted.seq
         rev_ok = rev is not None and not rev.payload.get("revoked") and rev.seq < granted.seq
         if not (sig_ok and rev_ok):
@@ -277,15 +289,13 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
                 granted.actor,
                 "access granted without successful signature and revocation checks",
             )
-        disclosed = set(presented.payload.get("disclosed", [])) if presented else set()
-        used = set(granted.payload.get("used_attributes", []))
-        if used - disclosed:
-            extra = ", ".join(sorted(used - disclosed))
+        extra = set(granted.payload.get("used_attributes", [])) - disclosed
+        if extra:
             note(
                 "sim.nfr19.sidechannel",
                 NfrKey.NFR19,
                 granted.actor,
-                f"decision used attributes outside the presentation: {extra}",
+                f"decision used attributes outside the presentation: {', '.join(sorted(extra))}",
             )
     return findings
 

@@ -1,15 +1,16 @@
-"""A set-and-sort graph builder, kept as the reference that
-`ssiarch.graph.build_graph` must agree with: the same nodes and the same
-edges in the same order. It collects every edge into a set, then sorts
-nodes and edges by (kind rank, declaration index); nothing in `src/`
-uses it."""
+"""A set-and-sort graph builder and per-edge DOT and TSV writers, kept as
+the reference that `ssiarch.graph` must agree with: the same nodes, the
+same edges in the same order, and the same output bytes. The builder
+collects every edge into a set, then sorts nodes and edges by (kind
+rank, declaration index); the writers format one line per edge. Nothing
+in `src/` uses them."""
 
 from __future__ import annotations
 
 from itertools import product
 
 from ssiarch.dsl import GLOBAL_SYSTEM_ID, SystemModel
-from ssiarch.graph import EdgeKind
+from ssiarch.graph import _TSV_ESCAPES, EdgeKind, _dot_id
 from ssiarch.kb import ACTOR_ORDER, ActorKind, NfrKey, OwnershipMap
 
 
@@ -53,3 +54,22 @@ def reference_build_graph(relations, ownership=None, model: SystemModel | None =
         sorted(edges, key=lambda e: (position[e[0]], position[e[1]], int(e[2]), e[3].value))
     )
     return nodes, ordered
+
+
+def reference_to_dot(nodes, edges) -> str:
+    """The DOT text `to_dot` must write for (nodes, edges): one line per
+    node, then one formatted line per edge."""
+    ids = {node: _dot_id(node) for node in nodes}
+    lines = ["digraph deps {", *(f"  {ids[node]};" for node in nodes)]
+    for src, dst, nfr, kind in edges:
+        lines.append(f'  {ids[src]} -> {ids[dst]} [label="{kind.value}:{nfr.name}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_tsv(nodes, edges) -> str:
+    """The TSV text `to_tsv` must write for (nodes, edges): one formatted
+    line per edge."""
+    ids = {node: node.translate(_TSV_ESCAPES) for node in nodes}
+    lines = [f"{ids[s]}\t{ids[d]}\t{kind.value}\t{nfr.name}" for s, d, nfr, kind in edges]
+    return "\n".join(lines) + ("\n" if lines else "")

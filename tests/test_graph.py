@@ -1,5 +1,7 @@
+import dataclasses
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from ssiarch.graph import (
 from ssiarch.kb import ActorKind, DependencyRelation, NfrKey, OwnershipMap
 
 from model_gen import random_model
-from reference_graph import reference_build_graph
+from reference_graph import reference_build_graph, reference_to_dot, reference_to_tsv
 
 
 def test_builtin_relations_graph(kb):
@@ -131,7 +133,13 @@ def test_model_scoped_graph(kb):
 
 def test_edges_must_reference_nodes():
     with pytest.raises(ValueError):
-        DepGraph(nodes=("o",), edges=(("o", "i", NfrKey.NFR1, EdgeKind.DEPENDENCY),))
+        DepGraph(nodes=("o",), rows=(("o", EdgeKind.DEPENDENCY, ("i",), (NfrKey.NFR1,)),))
+
+
+def test_rows_must_hold_edges():
+    for dsts, nfrs in [((), (NfrKey.NFR1,)), (("o",), ())]:
+        with pytest.raises(ValueError):
+            DepGraph(nodes=("o",), rows=(("o", EdgeKind.OWNERSHIP, dsts, nfrs),))
 
 
 def test_model_scoped_graph_follows_wallet_binding(kb):
@@ -172,15 +180,81 @@ _OWNERSHIP = st.one_of(
 )
 
 
+#: Ids that DOT or TSV must escape or quote: quotes, backslashes, TAB,
+#: CR, LF, braces and DOT keywords in several cases.
+_AWKWARD_PIECES = (
+    "node", "Graph", "EDGE", "digraph", "subGraph", "STRICT",
+    'a"b', "c\\d", "e\tf", "g\rh", "i\nj", "{k}", "}", "{", '\\"',
+)
+
+
+def _with_awkward_ids(model):
+    """`model` with every actor and wallet id replaced by an awkward one."""
+    ids = [a.id for a in model.actors] + [w.id for w in model.wallets]
+    count = len(_AWKWARD_PIECES)
+    name = {
+        old: _AWKWARD_PIECES[i % count] + (str(i) if i >= count else "")
+        for i, old in enumerate(ids)
+    }
+    return dataclasses.replace(
+        model,
+        actors=tuple(dataclasses.replace(a, id=name[a.id]) for a in model.actors),
+        wallets=tuple(
+            dataclasses.replace(w, id=name[w.id], owner_ref=name[w.owner_ref])
+            for w in model.wallets
+        ),
+    )
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_RELATIONS, _OWNERSHIP, st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 4)))
+@given(
+    _RELATIONS,
+    _OWNERSHIP,
+    st.none() | st.tuples(st.integers(0, 10**6), st.integers(0, 4), st.booleans()),
+)
 def test_build_graph_agrees_with_reference(kb, relations, ownership, model_seed):
     model = None
     if model_seed is not None:
-        seed, per_kind = model_seed
+        seed, per_kind, awkward = model_seed
         model = random_model(random.Random(seed), kb, per_kind or None)
+        if awkward:
+            model = _with_awkward_ids(model)
     g = build_graph(relations, ownership, model)
-    assert (g.nodes, g.edges) == reference_build_graph(relations, ownership, model)
+    nodes, edges = reference_build_graph(relations, ownership, model)
+    assert (g.nodes, g.edges) == (nodes, edges)
+    assert to_dot(g) == reference_to_dot(nodes, edges)
+    assert to_tsv(g) == reference_to_tsv(nodes, edges)
+
+
+def test_export_memory_is_bounded_by_output(kb):
+    # Peak allocation while building and writing a 120-per-kind model
+    # graph (about 90k edges), against the bytes written: per-edge
+    # objects would make it grow with edges rather than with output.
+    model = random_model(random.Random(7), kb, per_kind=120)
+    tracemalloc.start()
+    try:
+        dot = to_dot(build_graph(kb.dependencies, kb.ownership, model))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dot.count(" -> ") > 80_000
+    assert peak <= 3 * len(dot)
+
+
+@pytest.mark.parametrize(
+    "word", ["node", "edge", "graph", "digraph", "subgraph", "strict", "Graph", "NODE", "sTrIcT"]
+)
+def test_dot_quotes_keyword_ids(kb, word):
+    text = (
+        f'system "x" {{ actor owner "{word}" {{}} actor issuer "uni" {{}} '
+        'actor verifier "lib" {} }'
+    )
+    model = load_model(text, kb).model
+    assert model is not None
+    lines = to_dot(build_graph(kb.dependencies, kb.ownership, model)).splitlines()
+    assert f'  "{word}";' in lines
+    assert f'  lib -> "{word}" [label="D:NFR1"];' in lines
+    assert not any(line.startswith(f"  {word}") for line in lines)
 
 
 def _unquote_dot(dot_id):

@@ -270,6 +270,118 @@ def test_overdisclosure_of_unrequested_attribute_detected(kb):
     assert findings[0].message.endswith("requested minimum: name")
 
 
+def _renumbered(trace, events):
+    """`trace` with `events`, numbered 1, 2, ... in order."""
+    events = tuple(dataclasses.replace(e, seq=i) for i, e in enumerate(events, 1))
+    return SimTrace(scenario=trace.scenario, events=events, outcome=trace.outcome)
+
+
+def _event(trace, kind):
+    return next(e for e in trace.events if e.kind is kind)
+
+
+def test_every_presentation_and_access_is_checked(kb):
+    # A second presentation discloses unrequested `name`; a second grant
+    # uses it. The grant is covered by what the trace disclosed.
+    trace = run_scenario(base_scenario())
+    presented = _event(trace, EventKind.PRESENTED)
+    granted = _event(trace, EventKind.ACCESS_GRANTED)
+    forged = _renumbered(
+        trace,
+        [
+            *trace.events,
+            dataclasses.replace(presented, payload={**presented.payload, "disclosed": ["name"]}),
+            dataclasses.replace(granted, payload={"used_attributes": ["name"]}),
+        ],
+    )
+    findings = check_trace(forged, kb)
+    assert [f.rule for f in findings] == ["sim.nfr14.overdisclosure"]
+    assert findings[0].message.endswith("requested minimum: name")
+
+
+def test_second_grant_using_undisclosed_attribute_is_flagged(kb):
+    trace = run_scenario(base_scenario())
+    granted = _event(trace, EventKind.ACCESS_GRANTED)
+    extra = dataclasses.replace(granted, payload={"used_attributes": ["degree", "year"]})
+    findings = check_trace(_renumbered(trace, [*trace.events, extra]), kb)
+    assert [f.rule for f in findings] == ["sim.nfr19.sidechannel"]
+    assert findings[0].message.endswith("outside the presentation: year")
+
+
+def test_every_issuance_and_presentation_needs_consent(kb):
+    trace = run_scenario(
+        base_scenario(toggles=Toggles(skip_issuance_consent=True, skip_presentation_consent=True))
+    )
+    issued = _event(trace, EventKind.CREDENTIAL_ISSUED)
+    presented = _event(trace, EventKind.PRESENTED)
+    forged = _renumbered(trace, [*trace.events, issued, presented])
+    rules = [f.rule for f in check_trace(forged, kb)]
+    assert rules == ["sim.nfr6.issuance"] * 2 + ["sim.nfr6.presentation"] * 2
+
+
+def test_every_grant_is_gated(kb):
+    trace = run_scenario(base_scenario(toggles=Toggles(revoke_before_presentation=True)))
+    granted = SimEvent(0, EventKind.ACCESS_GRANTED, "library", {"used_attributes": ["degree"]})
+    forged = _renumbered(trace, [*trace.events, granted, granted])
+    rules = [f.rule for f in check_trace(forged, kb)]
+    assert rules == ["sim.nfr24.bypass"] * 2
+
+
+_ATTRIBUTE_NAMES = ("name", "degree", "year", "ssn", "email")
+_TRACE_MUTATION = st.tuples(
+    st.sampled_from([EventKind.PRESENTED, EventKind.ACCESS_GRANTED]),
+    st.lists(st.sampled_from(_ATTRIBUTE_NAMES), max_size=4),
+    st.integers(0, 20),  # where to insert the event, or which to replace
+    st.booleans(),  # insert a new event, or replace the payload of one
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.frozensets(st.sampled_from(_ATTRIBUTE_NAMES), min_size=1),
+    st.lists(_TRACE_MUTATION, min_size=1, max_size=4),
+)
+def test_check_trace_flags_every_attribute_outside_the_request(kb, requested, mutations):
+    scenario = base_scenario(requested=sorted(requested))
+    trace = run_scenario(scenario)
+    assert check_trace(trace, kb) == []
+    events = list(trace.events)
+    for kind, attributes, where, insert in mutations:
+        key = "disclosed" if kind is EventKind.PRESENTED else "used_attributes"
+        if insert:
+            events.insert(where % (len(events) + 1), SimEvent(0, kind, "x", {key: attributes}))
+        else:
+            targets = [i for i, e in enumerate(events) if e.kind is kind]
+            if targets:
+                i = targets[where % len(targets)]
+                payload = {**events[i].payload, key: attributes}
+                events[i] = dataclasses.replace(events[i], payload=payload)
+    forged = _renumbered(trace, events)
+    allowed = requested & set(scenario.attributes)
+    seen = set()
+    for e in forged.events:
+        seen.update(e.payload.get("disclosed", ()), e.payload.get("used_attributes", ()))
+    flagged = set()
+    for f in check_trace(forged, kb):
+        if f.rule in ("sim.nfr14.overdisclosure", "sim.nfr19.sidechannel"):
+            names = f.message.rpartition(": ")[2].split(", ")
+            if f.rule == "sim.nfr14.overdisclosure":
+                assert not allowed.intersection(names)
+            flagged.update(names)
+    assert seen - allowed <= flagged
+
+
+def test_request_must_name_the_scenario_verifier():
+    with pytest.raises(ValueError, match="verifier"):
+        Scenario(
+            issuer_id="uni",
+            owner_id="alice",
+            verifier_id="library",
+            attributes={"degree": "MSc"},
+            request=PresentationRequest(verifier_id="bank", requested_attributes={"degree"}),
+        )
+
+
 _SCENARIO_FIELDS = (
     record_field("issuer", "uni", ""),
     record_field("owner", "alice"),
