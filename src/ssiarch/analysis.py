@@ -5,10 +5,9 @@ set, responsibility statistics, and constraint classification."""
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ssiarch.dsl import SystemModel
 from ssiarch.findings import Finding, Severity
 from ssiarch.kb import (
     PRIMARY_ACTORS,
@@ -19,6 +18,9 @@ from ssiarch.kb import (
     Provenance,
     ResponsibilityLevel,
 )
+
+if TYPE_CHECKING:
+    from ssiarch.dsl import SystemModel
 
 
 #: Claim finding per matrix level: severity, rule, and the message phrase
@@ -56,7 +58,7 @@ def check_claims(model: SystemModel, kb: KnowledgeBase) -> list[Finding]:
     for actor in model.actors:
         who = f"{actor.kind.long_name} {actor.id!r}"
         for nfr in actor.claims:
-            level = kb.lookup_responsibility(nfr, actor.kind)
+            level = kb.matrix.level(nfr, actor.kind)
             what = f"{nfr.name} ({kb.entry(nfr).name})"
             severity, rule, phrase = _CLAIM_FINDINGS[level]
             findings.append(
@@ -103,7 +105,7 @@ def derive_dependencies(kb: KnowledgeBase) -> frozenset[DependencyRelation]:
         )
 
     for nfr in NfrKey:
-        levels = {a: kb.lookup_responsibility(nfr, a) for a in PRIMARY_ACTORS}
+        levels = {a: kb.matrix.level(nfr, a) for a in PRIMARY_ACTORS}
         primaries = [a for a, lvl in levels.items() if lvl is ResponsibilityLevel.PRIMARY]
         owners = kb.ownership[nfr]
         for actor, level in levels.items():
@@ -146,32 +148,27 @@ def diff_dependencies(
     )
 
 
-class CoverageScope(enum.Enum):
-    KB_ONLY = "kb"
-    MODEL_SCOPED = "model"
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Which NFRs some design pattern supports. In KB scope, an NFR is
     covered iff any pattern in the KB supports it; in model scope, iff a
     declared actor implements a supporting pattern. covered and uncovered
-    partition the 24 keys."""
+    partition the 24 keys. scope is "kb" or "model"."""
 
     covered: dict[NfrKey, frozenset[tuple[str, str | None]]]
     uncovered: frozenset[NfrKey]
-    scope: CoverageScope
+    scope: str
 
 
 def coverage(kb: KnowledgeBase, model: SystemModel | None = None) -> CoverageReport:
     covered: dict[NfrKey, set[tuple[str, str | None]]] = {}
     if model is None:
-        scope = CoverageScope.KB_ONLY
+        scope = "kb"
         for pattern in kb.patterns:
             for nfr in pattern.supported_nfrs:
                 covered.setdefault(nfr, set()).add((pattern.name, None))
     else:
-        scope = CoverageScope.MODEL_SCOPED
+        scope = "model"
         for actor in model.actors:
             for source, name in actor.patterns:
                 pattern = kb.find_pattern(source, name)
@@ -215,7 +212,7 @@ def responsibility_stats(kb: KnowledgeBase) -> ResponsibilityStats:
         primary_nfrs[actor] = frozenset(
             nfr
             for nfr in NfrKey
-            if kb.lookup_responsibility(nfr, actor) is ResponsibilityLevel.PRIMARY
+            if kb.matrix.level(nfr, actor) is ResponsibilityLevel.PRIMARY
         )
     discrepancies: list[str] = []
     for actor in PRIMARY_ACTORS:

@@ -15,12 +15,17 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from ssiarch import analysis, dsl, graph as graphmod, sim
-from ssiarch.extension import ExtensionError, load_extension, merge
 from ssiarch.findings import Finding, Severity
 from ssiarch.kb import DependencyRelation, KbError, KnowledgeBase, builtin_kb
 from ssiarch.report import Report, emit_human, emit_json, emit_markdown
+
+# Each command imports the modules it runs, so a start-up loads only
+# those. Calls go through the module (sim.run_scenario), so a wrapper
+# set on a module attribute still sees them.
+if TYPE_CHECKING:
+    from ssiarch import dsl
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -45,6 +50,7 @@ def _read_file(path: str) -> str:
 def _load_kb(extension_paths: list[str]) -> KnowledgeBase:
     kb = builtin_kb()
     for path in extension_paths:
+        from ssiarch.extension import ExtensionError, load_extension, merge
         text = _read_file(path)
         try:
             kb = merge(kb, load_extension(text))
@@ -54,6 +60,7 @@ def _load_kb(extension_paths: list[str]) -> KnowledgeBase:
 
 
 def _load_model(path: str | None, kb: KnowledgeBase) -> dsl.ResolveResult:
+    from ssiarch import dsl
     if path is None:
         raise CliError("this command requires --model")
     result = dsl.load_model(_read_file(path), kb)
@@ -76,6 +83,7 @@ def _relations_payload(relations, full: bool = False) -> list[dict]:
 
 
 def _cmd_validate(args, kb: KnowledgeBase) -> Report:
+    from ssiarch import analysis
     result = _load_model(args.model, kb)
     findings = list(result.findings)
     payload: dict = {}
@@ -91,6 +99,7 @@ def _cmd_validate(args, kb: KnowledgeBase) -> Report:
 
 
 def _cmd_coverage(args, kb: KnowledgeBase) -> Report:
+    from ssiarch import analysis
     model = None
     if args.scope == "model":
         result = _load_model(args.model, kb)
@@ -108,7 +117,7 @@ def _cmd_coverage(args, kb: KnowledgeBase) -> Report:
         for nfr in sorted(report.uncovered)
     )
     payload = {
-        "scope": report.scope.value,
+        "scope": report.scope,
         "covered": {
             nfr.name: sorted(p for p, _ in pairs) for nfr, pairs in report.covered.items()
         },
@@ -122,6 +131,7 @@ def _cmd_coverage(args, kb: KnowledgeBase) -> Report:
 def _cmd_deps(args, kb: KnowledgeBase) -> Report:
     if not args.diff:
         return Report("deps", (), {"relations": _relations_payload(kb.dependencies, full=True)})
+    from ssiarch import analysis
     # Cross-check only where the authoritative table has rows;
     # derivation over uncatalogued NFRs is not a disagreement.
     derived = analysis.derive_dependencies(kb)
@@ -154,6 +164,7 @@ def _cmd_deps(args, kb: KnowledgeBase) -> Report:
 
 
 def _cmd_stats(args, kb: KnowledgeBase) -> Report:
+    from ssiarch import analysis
     stats = analysis.responsibility_stats(kb)
     findings = tuple(
         Finding(Severity.WARNING, "stats.discrepancy", text.split(":", 1)[0], text)
@@ -171,6 +182,8 @@ def _cmd_stats(args, kb: KnowledgeBase) -> Report:
 
 
 def _cmd_simulate(args, kb: KnowledgeBase) -> Report:
+    from ssiarch import sim
+    from ssiarch.extension import ExtensionError
     if args.scenario is None:
         raise CliError("simulate requires --scenario")
     text = _read_file(args.scenario)
@@ -191,6 +204,7 @@ def _cmd_simulate(args, kb: KnowledgeBase) -> Report:
 
 def _cmd_graph(args, kb: KnowledgeBase) -> Report:
     """The graph travels in the payload; it is emitted only as DOT or TSV."""
+    from ssiarch import graph
     model = None
     if args.scope == "model":
         result = _load_model(args.model, kb)
@@ -198,8 +212,7 @@ def _cmd_graph(args, kb: KnowledgeBase) -> Report:
             messages = "; ".join(f.message for f in result.findings)
             raise CliError(f"model does not resolve: {messages}")
         model = result.model
-    g = graphmod.build_graph(kb.dependencies, kb.ownership, model)
-    return Report("graph", (), {"graph": g})
+    return Report("graph", (), {"graph": graph.build_graph(kb.dependencies, kb.ownership, model)})
 
 
 _HANDLERS = {
@@ -220,10 +233,10 @@ def _check_format(args) -> None:
 
 
 def _emit(report: Report, fmt: str) -> str:
-    if fmt == "dot":
-        return graphmod.to_dot(report.payload["graph"])
-    if fmt == "tsv":
-        return graphmod.to_tsv(report.payload["graph"])
+    if fmt in _GRAPH_FORMATS:
+        from ssiarch import graph
+        emit = graph.to_dot if fmt == "dot" else graph.to_tsv
+        return emit(report.payload["graph"])
     if fmt == "json":
         return emit_json(report)
     if fmt == "markdown":

@@ -31,6 +31,7 @@ from typing import Callable, NamedTuple, TypeVar
 from ssiarch.findings import Finding, Severity, SourceSpan
 from ssiarch.kb import (
     ACTOR_RANK,
+    GLOBAL_SYSTEM_ID,
     PRIMARY_ACTORS,
     ActorKind,
     DependencyRelation,
@@ -40,27 +41,13 @@ from ssiarch.kb import (
     Provenance,
 )
 
-KEYWORDS = frozenset(
-    {
-        "system",
-        "actor",
-        "owner",
-        "issuer",
-        "verifier",
-        "wallet",
-        "for",
-        "patterns",
-        "claims",
-        "depends",
-        "on",
-    }
-)
+#: Each keyword mapped to itself, so keyword tokens share one string each.
+KEYWORDS = {
+    word: word
+    for word in "system actor owner issuer verifier wallet for patterns claims depends on".split()
+}
 
 _ACTOR_KEYWORDS = {kind.long_name: kind for kind in PRIMARY_ACTORS}
-
-#: Node id of the implicit global system in model-scoped graphs; no
-#: declared actor or wallet may take it.
-GLOBAL_SYSTEM_ID = "system"
 
 
 class DslSyntaxError(Exception):
@@ -117,9 +104,6 @@ _PUNCT = {
     ":": TokenKind.COLON,
 }
 
-#: Keyword text by itself, so keyword tokens share one string each.
-_KEYWORD_TEXT = {word: word for word in KEYWORDS}
-
 #: One lexeme after optional blanks, in group order: a newline, a
 #: comment or the end of the text (no group), punctuation, a string
 #: literal, a word, or any other character, which is an error. Every
@@ -173,8 +157,8 @@ def tokenize(text: str) -> list[Token]:
                 raise DslSyntaxError(
                     f"unexpected character {first!r}", SourceSpan(line, column, 1)
                 )
-            if word in _KEYWORD_TEXT:
-                append(Token(TokenKind.KEYWORD, _KEYWORD_TEXT[word], line, column, len(word)))
+            if word in KEYWORDS:
+                append(Token(TokenKind.KEYWORD, KEYWORDS[word], line, column, len(word)))
             elif word.startswith("NFR") and (digits := word[3:]).isascii() and digits.isdigit():
                 append(Token(TokenKind.NFRKEY, word, line, column, len(word), _ordinal(digits)))
             else:
@@ -429,52 +413,31 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
     complete pattern catalogs live in extension files)."""
     findings: list[Finding] = []
 
+    def error(rule: str, subject: str, message: str, span: SourceSpan) -> None:
+        findings.append(Finding(Severity.ERROR, rule, subject, message, span))
+
     ids: dict[str, ActorNode | WalletDecl] = {}
     for node in [*tree.actors, *tree.wallets]:
         if node.id in ids:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.duplicate-id",
-                    node.id,
-                    f"id {node.id!r} is declared more than once",
-                    node.span,
-                )
-            )
+            message = f"id {node.id!r} is declared more than once"
+            error("model.duplicate-id", node.id, message, node.span)
         else:
             ids[node.id] = node
         if node.id == GLOBAL_SYSTEM_ID:
             message = f"id {node.id!r} is reserved for the global system"
-            findings.append(
-                Finding(Severity.ERROR, "model.duplicate-id", node.id, message, node.span)
-            )
+            error("model.duplicate-id", node.id, message, node.span)
 
     for kind in PRIMARY_ACTORS:
         if not any(a.kind == kind for a in tree.actors):
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.missing-actor",
-                    kind.long_name,
-                    f"model declares no {kind.long_name} actor",
-                    tree.span,
-                )
-            )
+            message = f"model declares no {kind.long_name} actor"
+            error("model.missing-actor", kind.long_name, message, tree.span)
 
     def nfr_key(ordinal: int | None, subject: str, span: SourceSpan) -> NfrKey | None:
         try:
             return NfrKey(ordinal)
         except ValueError:
             name = "NFR key with that many digits" if ordinal is None else f"NFR{ordinal}"
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.unknown-nfr",
-                    subject,
-                    f"{name} is not a known NFR key",
-                    span,
-                )
-            )
+            error("model.unknown-nfr", subject, f"{name} is not a known NFR key", span)
             return None
 
     actors: list[ActorDecl] = []
@@ -511,27 +474,15 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
     for node in tree.wallets:
         target = ids.get(node.owner_ref)
         if not isinstance(target, ActorNode) or target.kind != ActorKind.DATA_OWNER:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.unresolved-ref",
-                    node.id,
-                    f"wallet {node.id!r} is bound to {node.owner_ref!r}, "
-                    "which is not a declared data owner",
-                    node.span,
-                )
+            message = (
+                f"wallet {node.id!r} is bound to {node.owner_ref!r}, "
+                "which is not a declared data owner"
             )
+            error("model.unresolved-ref", node.id, message, node.span)
             continue
         if node.owner_ref in owners_with_wallet:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.duplicate-wallet",
-                    node.id,
-                    f"data owner {node.owner_ref!r} already has a wallet",
-                    node.span,
-                )
-            )
+            message = f"data owner {node.owner_ref!r} already has a wallet"
+            error("model.duplicate-wallet", node.id, message, node.span)
             continue
         owners_with_wallet.add(node.owner_ref)
         wallets.append(node)
@@ -551,15 +502,8 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
         bad = False
         for ref, kind in ((node.depender_ref, depender), (node.dependee_ref, dependee)):
             if kind is None:
-                findings.append(
-                    Finding(
-                        Severity.ERROR,
-                        "model.unresolved-ref",
-                        ref,
-                        f"dependency references undeclared id {ref!r}",
-                        node.span,
-                    )
-                )
+                message = f"dependency references undeclared id {ref!r}"
+                error("model.unresolved-ref", ref, message, node.span)
                 bad = True
         if bad:
             continue
@@ -567,16 +511,11 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
         if nfr is None:
             continue
         if depender == dependee:
-            findings.append(
-                Finding(
-                    Severity.ERROR,
-                    "model.self-dependency",
-                    node.depender_ref,
-                    f"dependency endpoints {node.depender_ref!r} and "
-                    f"{node.dependee_ref!r} resolve to the same actor kind",
-                    node.span,
-                )
+            message = (
+                f"dependency endpoints {node.depender_ref!r} and "
+                f"{node.dependee_ref!r} resolve to the same actor kind"
             )
+            error("model.self-dependency", node.depender_ref, message, node.span)
             continue
         deps.add(
             DependencyRelation(

@@ -75,10 +75,6 @@ class KbDelta:
     dependencies: tuple[DependencyRelation, ...] = ()
     patterns: tuple[PatternEntry, ...] = ()
 
-    @property
-    def empty(self) -> bool:
-        return not self.dependencies and not self.patterns
-
 
 _DEPENDENCY_KEYS = {"nfr", "depender", "dependee", "rationale"}
 _PATTERN_KEYS = {"name", "source", "nfrs"}

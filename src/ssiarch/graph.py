@@ -10,9 +10,13 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from ssiarch.dsl import GLOBAL_SYSTEM_ID, SystemModel
-from ssiarch.kb import ACTOR_ORDER, ActorKind, DependencyRelation, NfrKey, OwnershipMap
+from ssiarch.kb import ACTOR_ORDER, GLOBAL_SYSTEM_ID, ActorKind, NfrKey, OwnershipMap
+
+if TYPE_CHECKING:
+    from ssiarch.dsl import SystemModel
+    from ssiarch.kb import DependencyRelation
 
 
 class EdgeKind(enum.Enum):

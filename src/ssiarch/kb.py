@@ -104,6 +104,10 @@ PRIMARY_ACTORS = (ActorKind.DATA_OWNER, ActorKind.ISSUER, ActorKind.VERIFIER)
 ACTOR_ORDER = tuple(ActorKind)
 ACTOR_RANK = {kind: rank for rank, kind in enumerate(ACTOR_ORDER)}
 
+#: Node id of the implicit global system in model-scoped graphs; no
+#: declared actor or wallet may take it.
+GLOBAL_SYSTEM_ID = "system"
+
 
 class ResponsibilityLevel(enum.Enum):
     PRIMARY = "primary"
@@ -255,10 +259,6 @@ class KnowledgeBase:
     def lookup_responsibility(self, nfr: NfrKey, actor: ActorKind) -> ResponsibilityLevel:
         """Exact matrix cell; raises KbError for wallet/system actors."""
         return self.matrix.level(nfr, actor)
-
-    def patterns_supporting(self, nfr: NfrKey) -> set[PatternEntry]:
-        """All patterns, from either catalog, declaring support for nfr."""
-        return {p for p in self.patterns if nfr in p.supported_nfrs}
 
     def find_pattern(self, source: PatternSource, name: str) -> PatternEntry | None:
         for p in self.patterns:

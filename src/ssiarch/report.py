@@ -88,6 +88,13 @@ REPORT_SCHEMA = {
 }
 
 
+def _cell(text: str) -> str:
+    """Free text as one table cell: `|` would end the cell, CR or LF the row."""
+    if "|" in text or "\r" in text or "\n" in text:
+        return text.replace("|", "\\|").replace("\r", " ").replace("\n", " ")
+    return text
+
+
 def _markdown_table(headers: list[str], rows: list[list[str]]) -> list[str]:
     lines = ["| " + " | ".join(headers) + " |"]
     lines.append("|" + "|".join(" --- " for _ in headers) + "|")
@@ -107,7 +114,7 @@ def emit_markdown(report: Report) -> str:
         lines.extend(
             _markdown_table(
                 ["Severity", "Rule", "Subject", "Message"],
-                [[f.severity.value, f.rule, f.subject, f.message] for f in findings],
+                [[f.severity.value, f.rule, _cell(f.subject), _cell(f.message)] for f in findings],
             )
         )
         lines.append("")
@@ -120,12 +127,14 @@ def emit_markdown(report: Report) -> str:
         if isinstance(value, list) and value and isinstance(value[0], dict):
             headers = list(value[0].keys())
             lines.extend(
-                _markdown_table(headers, [[str(row.get(h, "")) for h in headers] for row in value])
+                _markdown_table(
+                    headers, [[_cell(str(row.get(h, ""))) for h in headers] for row in value]
+                )
             )
         elif isinstance(value, dict):
             lines.extend(
                 _markdown_table(
-                    ["Key", "Value"], [[str(k), str(v)] for k, v in value.items()]
+                    ["Key", "Value"], [[_cell(str(k)), _cell(str(v))] for k, v in value.items()]
                 )
             )
         elif isinstance(value, list):

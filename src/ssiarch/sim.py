@@ -215,7 +215,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
     a malformed sequence, otherwise all outcomes are findings. Every
     issuance, presentation and grant is checked, not only the first:
     each needs the consent or checks that precede it, and a grant may
-    use only attributes that some presentation in the trace disclosed."""
+    use only attributes that some presentation before it disclosed."""
     events_of: dict[EventKind, list[SimEvent]] = {}
     last_seq = 0
     for event in trace.events:
@@ -278,7 +278,6 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
 
     sig = first(EventKind.SIGNATURE_VERIFIED)
     rev = first(EventKind.REVOCATION_CHECKED)
-    disclosed = {name for p in presented_events for name in p.payload.get("disclosed", [])}
     for granted in events_of.get(EventKind.ACCESS_GRANTED, ()):
         sig_ok = sig is not None and sig.payload.get("success") and sig.seq < granted.seq
         rev_ok = rev is not None and not rev.payload.get("revoked") and rev.seq < granted.seq
@@ -289,7 +288,9 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
                 granted.actor,
                 "access granted without successful signature and revocation checks",
             )
-        extra = set(granted.payload.get("used_attributes", [])) - disclosed
+        extra = set(granted.payload.get("used_attributes", [])).difference(
+            *(p.payload.get("disclosed", ()) for p in presented_events if p.seq < granted.seq)
+        )
         if extra:
             note(
                 "sim.nfr19.sidechannel",

@@ -1,5 +1,4 @@
 from ssiarch.analysis import (
-    CoverageScope,
     check_claims,
     classify_constraints,
     coverage,
@@ -213,7 +212,7 @@ def test_rules_reproduce_table_rows_outside_nfr4(kb):
 
 def test_coverage_kb_only(kb):
     report = coverage(kb)
-    assert report.scope is CoverageScope.KB_ONLY
+    assert report.scope == "kb"
     assert set(report.covered) | set(report.uncovered) == set(NfrKey)
     assert not set(report.covered) & set(report.uncovered)
     assert {k for k in report.uncovered if k <= 5} == {NfrKey.NFR3, NfrKey.NFR5}
@@ -238,7 +237,7 @@ def test_coverage_model_scoped(kb):
     )
     model = load_model(text, kb).model
     report = coverage(kb, model)
-    assert report.scope is CoverageScope.MODEL_SCOPED
+    assert report.scope == "model"
     assert set(report.covered) == {NfrKey.NFR1, NfrKey.NFR4}
     assert report.covered[NfrKey.NFR1] == {("Status Registry", "uni")}
 

@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssiarch.cli import run
-from ssiarch.report import REPORT_SCHEMA
+from ssiarch.findings import Finding, Severity
+from ssiarch.report import REPORT_SCHEMA, Report, emit_markdown
 
 
 def invoke(argv):
@@ -328,3 +331,62 @@ def test_extension_nfr_key_spelling_is_exit_2(tmp_path):
     assert code == 2
     assert not out
     assert "line 4" in err and "NFR+1" in err
+
+
+def _cells(row):
+    """The cells of a markdown table row, split at unescaped pipes."""
+    return re.split(r"(?<!\\)\|", row)[1:-1]
+
+
+def test_markdown_cells_are_escaped(tmp_path):
+    model = tmp_path / "m.ssiarch"
+    model.write_text(
+        'system "x" { actor owner "a|b" { claims: [NFR1]; } '
+        'actor issuer "i" { claims: [NFR2]; } actor verifier "v" {} }',
+        encoding="utf-8",
+    )
+    code, out, _ = invoke(["validate", "--model", str(model), "--format", "markdown"])
+    assert code == 0
+    lines = out.split("\n")
+    start = lines.index("## Findings") + 4  # title, blank, header, rule
+    rows = lines[start : lines.index("", start)]
+    assert [len(_cells(row)) for row in rows] == [4, 4]
+    assert "| a\\|b | owner 'a\\|b' legitimately claims NFR1 (Accessibility) |" in out
+
+
+def test_markdown_cells_stay_on_one_line():
+    finding = Finding(Severity.ERROR, "claims.ok", "a\r\nb", "two\nlines|here")
+    out = emit_markdown(Report("validate", (finding,), {"k": {"x\ny": "p|q\r"}}))
+    assert "| error | claims.ok | a  b | two lines\\|here |" in out
+    assert "| x y | p\\|q  |" in out
+
+
+#: Modules each command must not load: (argv, forbidden module names).
+_LAZY_IMPORTS = [
+    (["stats"], ["ssiarch.dsl", "ssiarch.sim", "ssiarch.graph", "ssiarch.extension", "hashlib"]),
+    (["validate", "--model", "demo.ssiarch"], ["ssiarch.sim", "ssiarch.graph", "hashlib"]),
+    (["graph", "--format", "dot"], ["ssiarch.dsl", "ssiarch.analysis", "ssiarch.sim"]),
+    (["simulate", "--scenario", "demo.scenario"], ["ssiarch.dsl", "ssiarch.analysis", "ssiarch.graph"]),
+    (["deps"], ["ssiarch.analysis"]),
+]
+
+
+@pytest.mark.parametrize("argv, forbidden", _LAZY_IMPORTS, ids=[a[0] for a, _ in _LAZY_IMPORTS])
+def test_command_loads_only_its_modules(datadir, argv, forbidden):
+    """A fresh interpreter runs one command; the modules it loaded are
+    read from sys.modules afterwards."""
+    script = (
+        "import io, json, sys\n"
+        "from ssiarch import cli\n"
+        "code = cli.run(sys.argv[1:], out=io.StringIO())\n"
+        "print(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(datadir.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, cwd=datadir, env=env
+    )
+    code, loaded = json.loads(proc.stdout)
+    assert code in (0, 1), proc.stderr
+    assert "ssiarch.cli" in loaded
+    assert sorted(set(forbidden) & set(loaded)) == []

@@ -29,8 +29,8 @@ dependee = owner
 
 
 def test_empty_file_yields_empty_delta():
-    assert load_extension("").empty
-    assert load_extension("# only a comment\n\n").empty
+    assert load_extension("") == KbDelta()
+    assert load_extension("# only a comment\n\n") == KbDelta()
 
 
 def test_single_dependency_record():

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from ssiarch.analysis import coverage
 from ssiarch.kb import (
     PRIMARY_ACTORS,
     ActorKind,
@@ -103,7 +104,8 @@ def test_dependency_rejects_self_loop():
 
 
 def test_patterns_supporting(kb):
-    nfr4 = {p.name for p in kb.patterns_supporting(NfrKey.NFR4)}
+    covered = coverage(kb).covered
+    nfr4 = {name for name, _ in covered[NfrKey.NFR4]}
     assert nfr4 == {
         "Status Registry",
         "DID Registry",
@@ -111,8 +113,8 @@ def test_patterns_supporting(kb):
         "Master and Sub Key Generation",
         "Multiple Registration",
     }
-    assert kb.patterns_supporting(NfrKey.NFR3) == set()
-    nfr2 = {p.name for p in kb.patterns_supporting(NfrKey.NFR2)}
+    assert NfrKey.NFR3 not in covered
+    nfr2 = {name for name, _ in covered[NfrKey.NFR2]}
     assert len(nfr2) == 4
     assert "Verifiable ID" in nfr2
 

@@ -308,6 +308,17 @@ def test_second_grant_using_undisclosed_attribute_is_flagged(kb):
     assert findings[0].message.endswith("outside the presentation: year")
 
 
+def test_grant_before_the_presentation_is_flagged(kb):
+    # The presentation moves after the grant, so the decision used
+    # `degree` before anything was disclosed.
+    trace = run_scenario(base_scenario())
+    presented = _event(trace, EventKind.PRESENTED)
+    events = [e for e in trace.events if e is not presented]
+    findings = check_trace(_renumbered(trace, [*events, presented]), kb)
+    assert [f.rule for f in findings] == ["sim.nfr19.sidechannel"]
+    assert findings[0].message.endswith("outside the presentation: degree")
+
+
 def test_every_issuance_and_presentation_needs_consent(kb):
     trace = run_scenario(
         base_scenario(toggles=Toggles(skip_issuance_consent=True, skip_presentation_consent=True))
