@@ -219,8 +219,8 @@ def responsibility_stats(kb: KnowledgeBase) -> ResponsibilityStats:
         computed = primary_nfrs[actor]
         claimed = CLAIMED_PRIMARIES[actor]
         if computed != claimed:
-            only_matrix = sorted(k.name for k in computed - claimed)
-            only_claimed = sorted(k.name for k in claimed - computed)
+            only_matrix = [k.name for k in sorted(computed - claimed)]
+            only_claimed = [k.name for k in sorted(claimed - computed)]
             parts = [f"{actor.long_name}: matrix count {len(computed)} vs claimed {len(claimed)}"]
             if only_matrix:
                 parts.append(f"in matrix only: {', '.join(only_matrix)}")

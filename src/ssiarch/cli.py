@@ -174,9 +174,10 @@ def _cmd_stats(args, kb: KnowledgeBase) -> Report:
         "computed": {a.code: stats.primary_counts[a] for a in stats.primary_counts},
         "claimed": {a.code: stats.claimed_counts[a] for a in stats.claimed_counts},
         "primary_nfrs": {
-            a.code: sorted(k.name for k in keys) for a, keys in stats.primary_nfrs.items()
+            a.code: [k.name for k in sorted(keys)] for a, keys in stats.primary_nfrs.items()
         },
         "discrepancies": list(stats.discrepancies),
+        "constraints": [k.name for k in sorted(analysis.classify_constraints(kb))],
     }
     return Report("stats", findings, payload)
 

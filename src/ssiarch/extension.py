@@ -9,17 +9,21 @@ low-level record reader is reused for simulator scenario files."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, TypeVar
 
 from ssiarch.kb import (
     ActorKind,
     DependencyRelation,
     KbError,
     KnowledgeBase,
+    NfrKey,
     PatternEntry,
     PatternSource,
     Provenance,
     parse_nfr_key,
 )
+
+T = TypeVar("T")
 
 
 class ExtensionError(Exception):
@@ -76,102 +80,84 @@ class KbDelta:
     patterns: tuple[PatternEntry, ...] = ()
 
 
-_DEPENDENCY_KEYS = {"nfr", "depender", "dependee", "rationale"}
-_PATTERN_KEYS = {"name", "source", "nfrs"}
+def read_fields(
+    record: Record, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict[str, tuple[str, int]]:
+    """The record's fields, once each key is known and each required key
+    is present. An unknown key is reported at its own line, and every
+    missing key at the record's line."""
+    for key, (_, lineno) in record.fields.items():
+        if key not in required and key not in optional:
+            raise ExtensionError(f"unknown key {key!r} in [{record.header}]", lineno)
+    missing = sorted(key for key in required if key not in record.fields)
+    if missing:
+        raise ExtensionError(
+            f"missing keys in [{record.header}]: {', '.join(missing)}", record.line
+        )
+    return record.fields
 
 
-def _require(record: Record, key: str) -> tuple[str, int]:
-    if key not in record.fields:
-        raise ExtensionError(f"missing key {key!r} in [{record.header}]", record.line)
-    return record.fields[key]
+def convert(field: tuple[str, int], parse: Callable[[str], T]) -> T:
+    """`parse` applied to a field's text; a KbError or ValueError it
+    raises becomes an ExtensionError at the field's line."""
+    text, lineno = field
+    try:
+        return parse(text)
+    except (KbError, ValueError) as exc:
+        raise ExtensionError(str(exc), lineno) from exc
 
 
 def _parse_dependency(record: Record) -> DependencyRelation:
-    for key, (_, lineno) in record.fields.items():
-        if key not in _DEPENDENCY_KEYS:
-            raise ExtensionError(f"unknown key {key!r} in [dependency]", lineno)
-    nfr_text, nfr_line = _require(record, "nfr")
-    depender_text, depender_line = _require(record, "depender")
-    dependee_text, dependee_line = _require(record, "dependee")
-    rationale = record.fields.get("rationale", ("", record.line))[0]
-    try:
-        nfr = parse_nfr_key(nfr_text)
-    except KbError as exc:
-        raise ExtensionError(str(exc), nfr_line) from exc
-    try:
-        depender = ActorKind.from_name(depender_text)
-    except KbError as exc:
-        raise ExtensionError(str(exc), depender_line) from exc
-    try:
-        dependee = ActorKind.from_name(dependee_text)
-    except KbError as exc:
-        raise ExtensionError(str(exc), dependee_line) from exc
+    fields = read_fields(record, ("nfr", "depender", "dependee"), ("rationale",))
+    nfr = convert(fields["nfr"], parse_nfr_key)
+    depender = convert(fields["depender"], ActorKind.from_name)
+    dependee = convert(fields["dependee"], ActorKind.from_name)
     try:
         return DependencyRelation(
             depender=depender,
             dependee=dependee,
             nfr=nfr,
-            rationale=rationale,
+            rationale=fields.get("rationale", ("", record.line))[0],
             provenance=Provenance.EXTENSION,
         )
     except KbError as exc:
         raise ExtensionError(str(exc), record.line) from exc
 
 
+def _parse_nfr_list(text: str) -> frozenset[NfrKey]:
+    return frozenset(parse_nfr_key(part) for part in text.split(",") if part.strip())
+
+
 def _parse_pattern(record: Record) -> PatternEntry:
-    for key, (_, lineno) in record.fields.items():
-        if key not in _PATTERN_KEYS:
-            raise ExtensionError(f"unknown key {key!r} in [pattern]", lineno)
-    name, _ = _require(record, "name")
-    source_text, source_line = _require(record, "source")
-    nfrs_text, nfrs_line = _require(record, "nfrs")
+    fields = read_fields(record, ("name", "source", "nfrs"))
+    name = fields["name"][0]
     if not name:
         raise ExtensionError("pattern name must be non-empty", record.line)
-    try:
-        source = PatternSource(source_text)
-    except ValueError:
-        raise ExtensionError(
-            f"unknown pattern source {source_text!r} (expected A or B)", source_line
-        ) from None
-    nfrs = set()
-    for part in nfrs_text.split(","):
-        if not part.strip():
-            continue
-        try:
-            nfrs.add(parse_nfr_key(part))
-        except KbError as exc:
-            raise ExtensionError(str(exc), nfrs_line) from exc
-    return PatternEntry(name=name, source=source, supported_nfrs=frozenset(nfrs))
+    source = convert(fields["source"], PatternSource)
+    return PatternEntry(name, source, convert(fields["nfrs"], _parse_nfr_list))
 
 
 def load_extension(text: str) -> KbDelta:
     """Parse one extension file into a delta; never mutates any KB."""
     dependencies: list[DependencyRelation] = []
     patterns: list[PatternEntry] = []
-    seen_triples: set[tuple] = set()
-    seen_patterns: set[tuple] = set()
+    seen: set[tuple] = set()
     for record in parse_records(text):
         if record.header == "dependency":
             rel = _parse_dependency(record)
-            if rel.triple in seen_triples:
-                raise ExtensionError(
-                    f"duplicate dependency ({rel.depender.code}, {rel.dependee.code}, "
-                    f"{rel.nfr.name}) within file",
-                    record.line,
-                )
-            seen_triples.add(rel.triple)
+            key = rel.triple
+            what = f"dependency ({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name})"
             dependencies.append(rel)
         elif record.header == "pattern":
             pat = _parse_pattern(record)
-            if (pat.source, pat.name) in seen_patterns:
-                raise ExtensionError(
-                    f"duplicate pattern {pat.name!r} (catalog {pat.source.value}) within file",
-                    record.line,
-                )
-            seen_patterns.add((pat.source, pat.name))
+            key = (pat.source, pat.name)
+            what = f"pattern {pat.name!r} (catalog {pat.source.value})"
             patterns.append(pat)
         else:
             raise ExtensionError(f"unknown record type [{record.header}]", record.line)
+        if key in seen:
+            raise ExtensionError(f"duplicate {what} within file", record.line)
+        seen.add(key)
     return KbDelta(dependencies=tuple(dependencies), patterns=tuple(patterns))
 
 

@@ -128,6 +128,10 @@ class PatternSource(enum.Enum):
     A = "A"
     B = "B"
 
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        raise ValueError(f"unknown pattern source {value!r} (expected A or B)")
+
 
 @dataclass(frozen=True)
 class NfrEntry:

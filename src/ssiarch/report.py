@@ -153,6 +153,9 @@ _COLORS = {
     Severity.INFO: "\x1b[36m",
 }
 _RESET = "\x1b[0m"
+#: C0, DEL and C1 control characters as `\xNN`, so that no subject or
+#: message can end a human line or drive the terminal.
+_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
 def emit_human(report: Report, color: bool = True) -> str:
@@ -163,7 +166,10 @@ def emit_human(report: Report, color: bool = True) -> str:
         label = f.severity.value
         if color:
             label = f"{_COLORS[f.severity]}{label}{_RESET}"
-        lines.append(f"  {label} [{f.rule}] {f.subject}{where}: {f.message}")
+        text = f"[{f.rule}] {f.subject}{where}: {f.message}"
+        if not text.isprintable():
+            text = text.translate(_CONTROL_ESCAPES)
+        lines.append(f"  {label} {text}")
     if not findings:
         lines.append("  no findings")
     for section, value in report.payload.items():

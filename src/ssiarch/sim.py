@@ -16,9 +16,9 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from ssiarch.extension import ExtensionError, parse_records
+from ssiarch.extension import ExtensionError, convert, parse_records, read_fields
 from ssiarch.findings import Finding, Severity
 from ssiarch.kb import KnowledgeBase, NfrKey
 
@@ -65,7 +65,7 @@ class PresentationRequest:
 
 class EventKind(enum.Enum):
     # Members hash by identity, in C, not through Enum's Python-level
-    # `__hash__`: check_trace groups every event of a trace by kind.
+    # `__hash__`: check_trace looks up its tables and state by kind.
     __hash__ = object.__hash__
 
     CONSENT_GRANTED = "ConsentGranted"
@@ -210,94 +210,91 @@ def run_scenario(scenario: Scenario) -> SimTrace:
     return SimTrace(scenario=scenario, events=tuple(events), outcome=outcome)
 
 
+#: The scenario role that must act each event kind a trace rule relies
+#: on, as an index into (owner id, verifier id). The same kind acted by
+#: anyone else is not the consent, check or disclosure a rule needs.
+_OWNER, _VERIFIER = 0, 1
+_ROLE_OF = {
+    EventKind.CONSENT_GRANTED: _OWNER,
+    EventKind.PRESENTATION_CONSENT_GRANTED: _OWNER,
+    EventKind.PRESENTED: _OWNER,
+    EventKind.SIGNATURE_VERIFIED: _VERIFIER,
+    EventKind.REVOCATION_CHECKED: _VERIFIER,
+}
+#: Each trace rule's NFR and message, in the order findings are grouped.
+_RULES = {
+    "sim.nfr6.issuance": (NfrKey.NFR6, "credential issued without prior data-owner consent"),
+    "sim.nfr6.presentation": (
+        NfrKey.NFR6,
+        "credential presented without prior data-owner consent",
+    ),
+    "sim.nfr14.overdisclosure": (NfrKey.NFR14, "disclosed more than the requested minimum"),
+    "sim.nfr24.bypass": (
+        NfrKey.NFR24,
+        "access granted without successful signature and revocation checks",
+    ),
+    "sim.nfr19.sidechannel": (NfrKey.NFR19, "decision used attributes outside the presentation"),
+}
+_RULE_RANK = {rule: rank for rank, rule in enumerate(_RULES)}
+
+
 def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
-    """Check one trace against NFR semantics; raises TraceOrderError on
-    a malformed sequence, otherwise all outcomes are findings. Every
-    issuance, presentation and grant is checked, not only the first:
-    each needs the consent or checks that precede it, and a grant may
-    use only attributes that some presentation before it disclosed."""
-    events_of: dict[EventKind, list[SimEvent]] = {}
+    """Check one trace against NFR semantics in one pass; raises
+    TraceOrderError on a malformed sequence, otherwise all outcomes are
+    findings. Each issuance, presentation and grant needs the latest
+    role-correct consent or checks before it. A grant may use only what
+    an owner presentation before it disclosed, and a presentation may
+    disclose only what the scenario's request asks of its attributes."""
+    # The kinds the rules fire on, as locals: reading an Enum member off
+    # its class costs more than the rest of an event's checks.
+    issued, presented = EventKind.CREDENTIAL_ISSUED, EventKind.PRESENTED
+    granted = EventKind.ACCESS_GRANTED
+    scenario = trace.scenario
+    role_ids = (scenario.owner_id, scenario.verifier_id)
+    verifier = scenario.verifier_id
+    allowed = scenario.request.requested_attributes & scenario.attributes.keys()
+    latest: dict[EventKind, SimEvent] = {}
+    disclosed: set[str] = set()
+    findings: list[Finding] = []
+
+    def note(rule: str, event: SimEvent, names: set[str] | None = None) -> None:
+        nfr, message = _RULES[rule]
+        if names:
+            message = f"{message}: {', '.join(sorted(names))}"
+        message = f"{nfr.name} ({kb.entry(nfr).name}): {message}"
+        findings.append(Finding(Severity.ERROR, rule, event.actor, message))
+
     last_seq = 0
     for event in trace.events:
         if event.seq <= last_seq:
-            raise TraceOrderError(
-                f"event seq {event.seq} does not increase after {last_seq}"
-            )
+            raise TraceOrderError(f"event seq {event.seq} does not increase after {last_seq}")
         last_seq = event.seq
-        events_of.setdefault(event.kind, []).append(event)
-
-    findings: list[Finding] = []
-
-    def note(rule: str, nfr: NfrKey, subject: str, message: str) -> None:
-        findings.append(
-            Finding(
-                Severity.ERROR,
-                rule,
-                subject,
-                f"{nfr.name} ({kb.entry(nfr).name}): {message}",
-            )
-        )
-
-    def first(kind: EventKind) -> SimEvent | None:
-        return events_of.get(kind, (None,))[0]
-
-    consent = first(EventKind.CONSENT_GRANTED)
-    for issued in events_of.get(EventKind.CREDENTIAL_ISSUED, ()):
-        if consent is None or consent.seq > issued.seq:
-            note(
-                "sim.nfr6.issuance",
-                NfrKey.NFR6,
-                issued.actor,
-                "credential issued without prior data-owner consent",
-            )
-
-    presented_events = events_of.get(EventKind.PRESENTED, ())
-    pres_consent = first(EventKind.PRESENTATION_CONSENT_GRANTED)
-    for presented in presented_events:
-        if pres_consent is None or pres_consent.seq > presented.seq:
-            note(
-                "sim.nfr6.presentation",
-                NfrKey.NFR6,
-                presented.actor,
-                "credential presented without prior data-owner consent",
-            )
-
-    requested_event = first(EventKind.PRESENTATION_REQUESTED)
-    if requested_event is not None:
-        requested = set(requested_event.payload.get("requested", []))
-        allowed = requested & set(trace.scenario.attributes)
-        for presented in presented_events:
-            extra = set(presented.payload.get("disclosed", [])) - allowed
-            if extra:
-                note(
-                    "sim.nfr14.overdisclosure",
-                    NfrKey.NFR14,
-                    presented.actor,
-                    f"disclosed more than the requested minimum: {', '.join(sorted(extra))}",
-                )
-
-    sig = first(EventKind.SIGNATURE_VERIFIED)
-    rev = first(EventKind.REVOCATION_CHECKED)
-    for granted in events_of.get(EventKind.ACCESS_GRANTED, ()):
-        sig_ok = sig is not None and sig.payload.get("success") and sig.seq < granted.seq
-        rev_ok = rev is not None and not rev.payload.get("revoked") and rev.seq < granted.seq
-        if not (sig_ok and rev_ok):
-            note(
-                "sim.nfr24.bypass",
-                NfrKey.NFR24,
-                granted.actor,
-                "access granted without successful signature and revocation checks",
-            )
-        extra = set(granted.payload.get("used_attributes", [])).difference(
-            *(p.payload.get("disclosed", ()) for p in presented_events if p.seq < granted.seq)
-        )
-        if extra:
-            note(
-                "sim.nfr19.sidechannel",
-                NfrKey.NFR19,
-                granted.actor,
-                f"decision used attributes outside the presentation: {', '.join(sorted(extra))}",
-            )
+        kind = event.kind
+        role = _ROLE_OF.get(kind)
+        by_role = role is not None and event.actor == role_ids[role]
+        if by_role:
+            latest[kind] = event
+        if kind is issued:
+            if EventKind.CONSENT_GRANTED not in latest:
+                note("sim.nfr6.issuance", event)
+        elif kind is presented:
+            if EventKind.PRESENTATION_CONSENT_GRANTED not in latest:
+                note("sim.nfr6.presentation", event)
+            shown = event.payload.get("disclosed", ())
+            if extra := set(shown) - allowed:
+                note("sim.nfr14.overdisclosure", event, extra)
+            if by_role:
+                disclosed.update(shown)
+        elif kind is granted:
+            sig = latest.get(EventKind.SIGNATURE_VERIFIED)
+            rev = latest.get(EventKind.REVOCATION_CHECKED)
+            checked = sig and rev and sig.payload.get("success") and not rev.payload.get("revoked")
+            if event.actor != verifier or not checked:
+                note("sim.nfr24.bypass", event)
+            if extra := set(event.payload.get("used_attributes", ())) - disclosed:
+                note("sim.nfr19.sidechannel", event, extra)
+    if len(findings) > 1:
+        findings.sort(key=lambda f: _RULE_RANK[f.rule])
     return findings
 
 
@@ -312,13 +309,30 @@ def export_trace(trace: SimTrace) -> str:
     return "\n".join(lines) + "\n"
 
 
-_SCENARIO_KEYS = {"issuer", "owner", "verifier", "attributes", "request", "toggles"}
-_TOGGLE_FLAGS = {
-    "skip_issuance_consent",
-    "skip_presentation_consent",
-    "revoke_before_presentation",
-    "over_disclose",
-}
+#: The toggles that are plain flags: every field that is off by default.
+_TOGGLE_FLAGS = {f.name for f in fields(Toggles) if f.default is False}
+
+
+def _parse_attributes(text: str) -> dict[str, str]:
+    attributes: dict[str, str] = {}
+    for part in filter(None, map(str.strip, text.split(","))):
+        if "=" not in part:
+            raise ValueError(f"attribute {part!r} must be name=value")
+        name, _, value = part.partition("=")
+        attributes[name.strip()] = value.strip()
+    return attributes
+
+
+def _parse_toggles(text: str) -> Toggles:
+    flags: dict[str, object] = {}
+    for flag in filter(None, map(str.strip, text.split(","))):
+        if flag.startswith("tamper_attribute="):
+            flags["tamper_attribute"] = flag.split("=", 1)[1]
+        elif flag in _TOGGLE_FLAGS:
+            flags[flag] = True
+        else:
+            raise ValueError(f"unknown toggle {flag!r}")
+    return Toggles(**flags)  # type: ignore[arg-type]
 
 
 def load_scenarios(text: str) -> list[Scenario]:
@@ -327,53 +341,21 @@ def load_scenarios(text: str) -> list[Scenario]:
     for record in parse_records(text):
         if record.header != "scenario":
             raise ExtensionError(f"unknown record type [{record.header}]", record.line)
-        for key, (_, lineno) in record.fields.items():
-            if key not in _SCENARIO_KEYS:
-                raise ExtensionError(f"unknown key {key!r} in [scenario]", lineno)
-        missing = {"issuer", "owner", "verifier", "attributes", "request"} - set(record.fields)
-        if missing:
-            raise ExtensionError(
-                f"missing keys in [scenario]: {', '.join(sorted(missing))}", record.line
-            )
-        attrs_text, attrs_line = record.fields["attributes"]
-        attributes: dict[str, str] = {}
-        for part in attrs_text.split(","):
-            if not part.strip():
-                continue
-            if "=" not in part:
-                raise ExtensionError(
-                    f"attribute {part.strip()!r} must be name=value", attrs_line
-                )
-            name, _, value = part.partition("=")
-            attributes[name.strip()] = value.strip()
-        request_text, _ = record.fields["request"]
-        requested = frozenset(p.strip() for p in request_text.split(",") if p.strip())
-        toggles = Toggles()
-        if "toggles" in record.fields:
-            toggles_text, toggles_line = record.fields["toggles"]
-            flags: dict[str, object] = {}
-            for part in toggles_text.split(","):
-                flag = part.strip()
-                if not flag:
-                    continue
-                if flag.startswith("tamper_attribute="):
-                    flags["tamper_attribute"] = flag.split("=", 1)[1]
-                elif flag in _TOGGLE_FLAGS:
-                    flags[flag] = True
-                else:
-                    raise ExtensionError(f"unknown toggle {flag!r}", toggles_line)
-            toggles = Toggles(**flags)  # type: ignore[arg-type]
+        values = read_fields(
+            record, ("issuer", "owner", "verifier", "attributes", "request"), ("toggles",)
+        )
+        attributes = convert(values["attributes"], _parse_attributes)
+        toggles = convert(values.get("toggles", ("", record.line)), _parse_toggles)
+        verifier = values["verifier"][0]
+        requested = frozenset(filter(None, map(str.strip, values["request"][0].split(","))))
         try:
             scenarios.append(
                 Scenario(
-                    issuer_id=record.fields["issuer"][0],
-                    owner_id=record.fields["owner"][0],
-                    verifier_id=record.fields["verifier"][0],
+                    issuer_id=values["issuer"][0],
+                    owner_id=values["owner"][0],
+                    verifier_id=verifier,
                     attributes=attributes,
-                    request=PresentationRequest(
-                        verifier_id=record.fields["verifier"][0],
-                        requested_attributes=requested,
-                    ),
+                    request=PresentationRequest(verifier, requested),
                     toggles=toggles,
                 )
             )

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ssiarch.cli import run
 from ssiarch.findings import Finding, Severity
-from ssiarch.report import REPORT_SCHEMA, Report, emit_markdown
+from ssiarch.report import REPORT_SCHEMA, Report, emit_human, emit_markdown
 
 
 def invoke(argv):
@@ -390,3 +390,28 @@ def test_command_loads_only_its_modules(datadir, argv, forbidden):
     assert code in (0, 1), proc.stderr
     assert "ssiarch.cli" in loaded
     assert sorted(set(forbidden) & set(loaded)) == []
+
+
+def test_human_lines_escape_control_characters(kb):
+    # A file read in text mode turns CR into LF, which ends a DSL string,
+    # so the model text goes straight to the library.
+    from ssiarch.analysis import check_claims
+    from ssiarch.dsl import load_model
+
+    model = load_model(
+        'system "x" { actor owner "a\x1b[2Jb\rc" { claims: [NFR1, NFR2]; } '
+        'actor issuer "i" { claims: [NFR2]; } actor verifier "v" {} }',
+        kb,
+    ).model
+    findings = check_claims(model, kb)
+    assert len(findings) == 4
+    lines = emit_human(Report("validate", tuple(findings), {}), color=False).splitlines()
+    assert len(lines) == len(findings) + 1
+    assert all(line.isprintable() for line in lines)
+    assert sum(" a\\x1b[2Jb\\x0dc @1:14: " in line for line in lines) == 3
+
+
+def test_human_escapes_c0_del_and_c1():
+    finding = Finding(Severity.ERROR, "claims.ok", "a\x7fb\x9bc\x85", "m\x00\tn")
+    out = emit_human(Report("validate", (finding,), {}), color=False)
+    assert out.splitlines()[1] == "  error [claims.ok] a\\x7fb\\x9bc\\x85: m\\x00\\x09n"

@@ -26,6 +26,7 @@ from ssiarch.sim import (
 )
 
 from model_gen import record_field
+from reference_trace import reference_check_trace
 
 
 def base_scenario(attributes=None, requested=("degree",), toggles=Toggles()):
@@ -338,6 +339,66 @@ def test_every_grant_is_gated(kb):
     assert rules == ["sim.nfr24.bypass"] * 2
 
 
+def _recheck(trace, kind, payload):
+    """`trace` with a copy of its `kind` event, carrying `payload`, right
+    after that event."""
+    events = []
+    for e in trace.events:
+        events.append(e)
+        if e.kind is kind:
+            events.append(dataclasses.replace(e, payload=payload))
+    return _renumbered(trace, events)
+
+
+def _acted_by(trace, kind, actor):
+    """`trace` with its `kind` event acted by `actor`."""
+    return _renumbered(
+        trace, [dataclasses.replace(e, actor=actor) if e.kind is kind else e for e in trace.events]
+    )
+
+
+_ROLE_AND_ORDER_FORGERIES = {
+    "failed-signature-after-success": (
+        lambda t: _recheck(t, EventKind.SIGNATURE_VERIFIED, {"success": False}),
+        "sim.nfr24.bypass",
+    ),
+    "revoked-after-clean-check": (
+        lambda t: _recheck(t, EventKind.REVOCATION_CHECKED, {"revoked": True}),
+        "sim.nfr24.bypass",
+    ),
+    "signature-checked-by-issuer": (
+        lambda t: _acted_by(t, EventKind.SIGNATURE_VERIFIED, "uni"),
+        "sim.nfr24.bypass",
+    ),
+    "access-granted-by-mallory": (
+        lambda t: _acted_by(t, EventKind.ACCESS_GRANTED, "mallory"),
+        "sim.nfr24.bypass",
+    ),
+    "consent-granted-by-issuer": (
+        lambda t: _acted_by(t, EventKind.CONSENT_GRANTED, "uni"),
+        "sim.nfr6.issuance",
+    ),
+    "presented-by-verifier": (
+        lambda t: _acted_by(t, EventKind.PRESENTED, "library"),
+        "sim.nfr19.sidechannel",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROLE_AND_ORDER_FORGERIES))
+def test_rules_need_the_right_role_and_the_latest_check(kb, name):
+    forge, rule = _ROLE_AND_ORDER_FORGERIES[name]
+    findings = check_trace(forge(run_scenario(base_scenario())), kb)
+    assert [f.rule for f in findings] == [rule]
+
+
+def test_presentation_by_the_verifier_discloses_nothing(kb):
+    trace = _acted_by(run_scenario(base_scenario()), EventKind.PRESENTED, "library")
+    (finding,) = check_trace(trace, kb)
+    assert finding.subject == "library"
+    assert finding.message.endswith("outside the presentation: degree")
+
+
 _ATTRIBUTE_NAMES = ("name", "degree", "year", "ssn", "email")
 _TRACE_MUTATION = st.tuples(
     st.sampled_from([EventKind.PRESENTED, EventKind.ACCESS_GRANTED]),
@@ -465,6 +526,72 @@ def sim_traces_text(kb):
 
 def test_traces_match_golden(kb):
     assert sim_traces_text(kb) == SIM_GOLDEN.read_text(encoding="utf-8")
+
+
+def _toggle_traces():
+    """The base scenario's trace under each of the 32 toggle combinations."""
+    toggles = [
+        Toggles(tamper_attribute=tamper, **dict(zip(_FLAGS, bits)))
+        for tamper in (None, "degree")
+        for bits in itertools.product((False, True), repeat=len(_FLAGS))
+    ]
+    return [run_scenario(base_scenario(toggles=t)) for t in toggles]
+
+
+_TOGGLE_TRACES = _toggle_traces()
+_ACTORS = ("uni", "alice", "library", "mallory")
+#: The event kinds that the trace rules read.
+_RULE_KINDS = (
+    EventKind.CONSENT_GRANTED,
+    EventKind.CREDENTIAL_ISSUED,
+    EventKind.PRESENTATION_CONSENT_GRANTED,
+    EventKind.PRESENTED,
+    EventKind.SIGNATURE_VERIFIED,
+    EventKind.REVOCATION_CHECKED,
+    EventKind.ACCESS_GRANTED,
+)
+_EVENT_MUTATION = st.tuples(
+    st.sampled_from(["move", "drop", "duplicate", "reassign", "splice"]),
+    st.sampled_from(_RULE_KINDS),  # the kind of the event it changes
+    st.integers(0, 15),  # which event of that kind
+    st.integers(0, 15),  # where the event moves or its copy goes, from the end
+    st.integers(0, len(_TOGGLE_TRACES) - 1),  # which trace a splice copies from
+    st.integers(0, len(_ACTORS) - 1),  # its new actor
+)
+
+
+def _mutated(number, mutations):
+    trace = _TOGGLE_TRACES[number]
+    events = list(trace.events)
+    for op, kind, which, where, other, actor in mutations:
+        if op == "splice":
+            other = _TOGGLE_TRACES[(other + number) % len(_TOGGLE_TRACES)]
+            targets = [e for e in other.events if e.kind is kind]
+        else:
+            targets = [e for e in events if e.kind is kind]
+        if not targets:
+            continue
+        event = targets[which % len(targets)]
+        if op in ("move", "drop"):
+            events.remove(event)
+        if op in ("move", "duplicate", "splice"):
+            events.insert(len(events) - where % (len(events) + 1), event)
+        elif op == "reassign":
+            actor = _ACTORS[(actor + number) % len(_ACTORS)]
+            events[events.index(event)] = dataclasses.replace(event, actor=actor)
+    return _renumbered(trace, events)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_EVENT_MUTATION, min_size=1, max_size=4))
+def test_check_trace_agrees_with_the_reference(kb, mutations):
+    """Each toggle trace with events moved, dropped, duplicated, acted by
+    another party, or copied in from another toggle trace. The new actor
+    and the trace a splice copies from turn with the trace's number, so
+    each drawn mutation meets every actor and every source trace."""
+    for number in range(len(_TOGGLE_TRACES)):
+        forged = _mutated(number, mutations)
+        assert check_trace(forged, kb) == reference_check_trace(forged, kb)
 
 
 if __name__ == "__main__":
