@@ -59,7 +59,7 @@ def check_claims(model: SystemModel, kb: KnowledgeBase) -> list[Finding]:
         who = f"{actor.kind.long_name} {actor.id!r}"
         for nfr in actor.claims:
             level = kb.matrix.level(nfr, actor.kind)
-            what = f"{nfr.name} ({kb.entry(nfr).name})"
+            what = kb.label(nfr)
             severity, rule, phrase = _CLAIM_FINDINGS[level]
             findings.append(
                 Finding(severity, rule, actor.id, f"{who} {phrase.format(what)}", actor.span)
@@ -161,25 +161,24 @@ class CoverageReport:
 
 
 def coverage(kb: KnowledgeBase, model: SystemModel | None = None) -> CoverageReport:
-    covered: dict[NfrKey, set[tuple[str, str | None]]] = {}
     if model is None:
-        scope = "kb"
-        for pattern in kb.patterns:
-            for nfr in pattern.supported_nfrs:
-                covered.setdefault(nfr, set()).add((pattern.name, None))
+        pairs = [(pattern, None) for pattern in kb.patterns]
     else:
-        scope = "model"
-        for actor in model.actors:
-            for source, name in actor.patterns:
-                pattern = kb.find_pattern(source, name)
-                if pattern is None:
-                    continue
-                for nfr in pattern.supported_nfrs:
-                    covered.setdefault(nfr, set()).add((pattern.name, actor.id))
+        pairs = [
+            (kb.find_pattern(source, name), actor.id)
+            for actor in model.actors
+            for source, name in actor.patterns
+        ]
+    covered: dict[NfrKey, set[tuple[str, str | None]]] = {}
+    for pattern, actor_id in pairs:
+        if pattern is None:
+            continue
+        for nfr in pattern.supported_nfrs:
+            covered.setdefault(nfr, set()).add((pattern.name, actor_id))
     return CoverageReport(
         covered={k: frozenset(v) for k, v in sorted(covered.items())},
         uncovered=frozenset(k for k in NfrKey if k not in covered),
-        scope=scope,
+        scope="kb" if model is None else "model",
     )
 
 

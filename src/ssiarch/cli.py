@@ -40,7 +40,8 @@ class CliError(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        # Decoded as written: text mode would turn a lone CR into LF.
+        return Path(path).read_bytes().decode("utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from exc
     except ValueError as exc:  # undecodable bytes, or a NUL in the path
@@ -112,7 +113,7 @@ def _cmd_coverage(args, kb: KnowledgeBase) -> Report:
             Severity.WARNING,
             "coverage.gap",
             nfr.name,
-            f"no design pattern supports {nfr.name} ({kb.entry(nfr).name})",
+            f"no design pattern supports {kb.label(nfr)}",
         )
         for nfr in sorted(report.uncovered)
     )
@@ -153,8 +154,7 @@ def _cmd_deps(args, kb: KnowledgeBase) -> Report:
         ),
     ):
         for rel in sorted(relations, key=DependencyRelation.sort_key):
-            triple = f"({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name})"
-            findings.append(Finding(Severity.WARNING, rule, rel.nfr.name, f"{triple} is {phrase}"))
+            findings.append(Finding(Severity.WARNING, rule, rel.nfr.name, f"{rel} is {phrase}"))
     payload = {
         "matched": _relations_payload(diff.matched),
         "missing_from_derived": _relations_payload(diff.missing_from_derived),

@@ -39,6 +39,7 @@ from ssiarch.kb import (
     NfrKey,
     PatternSource,
     Provenance,
+    nfr_ordinal,
 )
 
 #: Each keyword mapped to itself, so keyword tokens share one string each.
@@ -128,15 +129,6 @@ _LEXEME = re.compile(
 _ESCAPE = re.compile(r'\\(["\\])')
 
 
-def _ordinal(digits: str) -> int | None:
-    """The number spelled by ASCII `digits`, or None when it has more
-    significant digits than int() converts; no NFR key is that large."""
-    try:
-        return int(digits.lstrip("0") or "0")
-    except ValueError:
-        return None
-
-
 def tokenize(text: str) -> list[Token]:
     """Lex model text into tokens ending in EOF; comments and whitespace
     are discarded. Raises DslSyntaxError on lexical errors."""
@@ -160,7 +152,7 @@ def tokenize(text: str) -> list[Token]:
             if word in KEYWORDS:
                 append(Token(TokenKind.KEYWORD, KEYWORDS[word], line, column, len(word)))
             elif word.startswith("NFR") and (digits := word[3:]).isascii() and digits.isdigit():
-                append(Token(TokenKind.NFRKEY, word, line, column, len(word), _ordinal(digits)))
+                append(Token(TokenKind.NFRKEY, word, line, column, len(word), nfr_ordinal(digits)))
             else:
                 append(Token(TokenKind.IDENT, word, line, column, len(word)))
         elif group == 1:
@@ -540,20 +532,14 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
 def load_model(text: str, kb: KnowledgeBase) -> ResolveResult:
     """tokenize + parse + resolve, with lexical and syntax errors turned
     into findings. Any input yields a model or at least one finding."""
+    stage = "lexical"
     try:
         tokens = tokenize(text)
-    except DslSyntaxError as exc:
-        return ResolveResult(
-            model=None,
-            findings=[Finding(Severity.ERROR, "syntax.lexical", "<input>", exc.message, exc.span)],
-        )
-    try:
+        stage = "parse"
         tree = parse(tokens)
     except DslSyntaxError as exc:
-        return ResolveResult(
-            model=None,
-            findings=[Finding(Severity.ERROR, "syntax.parse", "<input>", exc.message, exc.span)],
-        )
+        finding = Finding(Severity.ERROR, f"syntax.{stage}", "<input>", exc.message, exc.span)
+        return ResolveResult(model=None, findings=[finding])
     return resolve(tree, kb)
 
 

@@ -146,7 +146,7 @@ def load_extension(text: str) -> KbDelta:
         if record.header == "dependency":
             rel = _parse_dependency(record)
             key = rel.triple
-            what = f"dependency ({rel.depender.code}, {rel.dependee.code}, {rel.nfr.name})"
+            what = f"dependency {rel}"
             dependencies.append(rel)
         elif record.header == "pattern":
             pat = _parse_pattern(record)
@@ -179,8 +179,7 @@ def merge(kb: KnowledgeBase, delta: KbDelta) -> KnowledgeBase:
             by_triple[rel.triple] = rel
         elif rel.rationale and rel.rationale != existing.rationale:
             raise MergeCollisionError(
-                f"dependency ({rel.depender.code}, {rel.dependee.code}, "
-                f"{rel.nfr.name}) already present with a different rationale"
+                f"dependency {rel} already present with a different rationale"
             )
     patterns = list(kb.patterns)
     by_ident = {(p.source, p.name): i for i, p in enumerate(patterns)}

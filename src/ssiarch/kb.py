@@ -44,14 +44,23 @@ class NfrKey(enum.IntEnum):
     NFR24 = 24
 
 
+def nfr_ordinal(digits: str) -> int | None:
+    """The number spelled by ASCII `digits`, or None when it has more
+    significant digits than int() converts; no NFR key is that large."""
+    try:
+        return int(digits.lstrip("0") or "0")
+    except ValueError:
+        return None
+
+
 def parse_nfr_key(text: str) -> NfrKey:
     """Parse "NFR1".."NFR24", `NFR` then ASCII digits as in the DSL;
     raises KbError on anything else."""
     t = text.strip()
     if t.startswith("NFR") and (digits := t[3:]).isascii() and digits.isdigit():
         try:
-            return NfrKey(int(digits))
-        except ValueError:  # out of range, or past int()'s digit limit
+            return NfrKey(nfr_ordinal(digits))
+        except ValueError:  # out of range, or too long to have an ordinal
             pass
     raise KbError(f"unknown NFR key: {text!r} (expected NFR1..NFR24)")
 
@@ -216,6 +225,9 @@ class DependencyRelation:
         """Canonical relation order: depender, dependee, then NFR."""
         return (ACTOR_RANK[self.depender], ACTOR_RANK[self.dependee], self.nfr)
 
+    def __str__(self) -> str:
+        return f"({self.depender.code}, {self.dependee.code}, {self.nfr.name})"
+
 
 @dataclass(frozen=True)
 class PatternEntry:
@@ -259,6 +271,9 @@ class KnowledgeBase:
 
     def entry(self, nfr: NfrKey) -> NfrEntry:
         return self.catalog[nfr - 1]
+
+    def label(self, nfr: NfrKey) -> str:
+        return f"{nfr.name} ({self.entry(nfr).name})"
 
     def lookup_responsibility(self, nfr: NfrKey, actor: ActorKind) -> ResponsibilityLevel:
         """Exact matrix cell; raises KbError for wallet/system actors."""

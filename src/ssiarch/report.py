@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import ssiarch
 from ssiarch.findings import Finding, Severity, sort_findings
@@ -18,7 +18,6 @@ class Report:
     command: str
     findings: tuple[Finding, ...]
     payload: dict
-    tool_version: str = field(default=ssiarch.__version__)
 
     def sorted_findings(self) -> list[Finding]:
         return sort_findings(list(self.findings))
@@ -42,7 +41,7 @@ def finding_to_dict(finding: Finding) -> dict:
 
 def emit_json(report: Report) -> str:
     doc = {
-        "tool_version": report.tool_version,
+        "tool_version": ssiarch.__version__,
         "command": report.command,
         "findings": [finding_to_dict(f) for f in report.sorted_findings()],
         "payload": report.payload,
@@ -105,7 +104,7 @@ def _markdown_table(headers: list[str], rows: list[list[str]]) -> list[str]:
 
 def emit_markdown(report: Report) -> str:
     lines = [f"# ssiarch {report.command} report", ""]
-    lines.append(f"tool version: {report.tool_version}")
+    lines.append(f"tool version: {ssiarch.__version__}")
     lines.append("")
     findings = report.sorted_findings()
     if findings:
@@ -159,7 +158,7 @@ _CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))
 
 
 def emit_human(report: Report, color: bool = True) -> str:
-    lines = [f"ssiarch {report.command} (v{report.tool_version})"]
+    lines = [f"ssiarch {report.command} (v{ssiarch.__version__})"]
     findings = report.sorted_findings()
     for f in findings:
         where = f" @{f.span}" if f.span is not None else ""

@@ -55,7 +55,6 @@ def verify_tag(issuer_id: str, payload: bytes, tag: bytes) -> bool:
 class PresentationRequest:
     verifier_id: str
     requested_attributes: frozenset[str]
-    purpose: str = "access"
 
     def __post_init__(self) -> None:
         if not self.requested_attributes:
@@ -139,88 +138,84 @@ class TraceOrderError(Exception):
     """Event sequence numbers are not strictly increasing."""
 
 
+#: The credential lifecycle as (kind, role) steps in trace order. A role
+#: indexes (owner id, issuer id, verifier id): the step's actor, and the
+#: only actor whose consent, check or disclosure a trace rule accepts.
+_OWNER, _ISSUER, _VERIFIER = 0, 1, 2
+_LIFECYCLE = (
+    (EventKind.CONSENT_GRANTED, _OWNER),
+    (EventKind.CREDENTIAL_REQUESTED, _OWNER),
+    (EventKind.SCHEMA_SELECTED, _ISSUER),
+    (EventKind.CREDENTIAL_ISSUED, _ISSUER),
+    (EventKind.REVOKED, _ISSUER),
+    (EventKind.PRESENTATION_REQUESTED, _VERIFIER),
+    (EventKind.PRESENTATION_CONSENT_GRANTED, _OWNER),
+    (EventKind.PRESENTED, _OWNER),
+    (EventKind.SIGNATURE_VERIFIED, _VERIFIER),
+    (EventKind.REVOCATION_CHECKED, _VERIFIER),
+    (EventKind.ACCESS_GRANTED, _VERIFIER),
+    (EventKind.ACCESS_DENIED, _VERIFIER),
+)
+_ROLE_OF = dict(_LIFECYCLE)
+
+
 def run_scenario(scenario: Scenario) -> SimTrace:
-    """Execute the scenario; faults surface as denied outcomes or as
+    """Walk the lifecycle; faults surface as denied outcomes or as
     trace-check findings, never as exceptions."""
-    events: list[SimEvent] = []
-
-    def emit(kind: EventKind, actor: str, **payload) -> None:
-        events.append(SimEvent(seq=len(events) + 1, kind=kind, actor=actor, payload=payload))
-
     toggles = scenario.toggles
-    if not toggles.skip_issuance_consent:
-        emit(EventKind.CONSENT_GRANTED, scenario.owner_id, purpose="issuance")
-    emit(
-        EventKind.CREDENTIAL_REQUESTED,
-        scenario.owner_id,
-        issuer=scenario.issuer_id,
-        attributes=sorted(scenario.attributes),
-    )
-    emit(EventKind.SCHEMA_SELECTED, scenario.issuer_id, schema="default-schema")
-
     credential_id = "cred-1"
-    payload = canonical_payload(credential_id, scenario.owner_id, scenario.attributes)
-    tag = tag_of(scenario.issuer_id, payload)
-    emit(
-        EventKind.CREDENTIAL_ISSUED, scenario.issuer_id, credential_id=credential_id, tag=tag.hex()
-    )
-
+    body = canonical_payload(credential_id, scenario.owner_id, scenario.attributes)
+    tag = tag_of(scenario.issuer_id, body)
     revoked = toggles.revoke_before_presentation
-    if revoked:
-        emit(EventKind.REVOKED, scenario.issuer_id, credential_id=credential_id)
-
     # The wallet's copy of the credential body; tampering mutates it
     # after issuance, so the recomputed tag no longer matches.
     wallet_attributes = dict(scenario.attributes)
     if toggles.tamper_attribute is not None:
         wallet_attributes[toggles.tamper_attribute] += "*"
-
-    emit(
-        EventKind.PRESENTATION_REQUESTED,
-        scenario.verifier_id,
-        requested=sorted(scenario.request.requested_attributes),
-        purpose=scenario.request.purpose,
-    )
-    if not toggles.skip_presentation_consent:
-        emit(EventKind.PRESENTATION_CONSENT_GRANTED, scenario.owner_id, purpose="presentation")
-
+    requested = scenario.request.requested_attributes
     if toggles.over_disclose:
-        disclosed_keys = sorted(wallet_attributes)
+        disclosed = sorted(wallet_attributes)
     else:
-        disclosed_keys = sorted(scenario.request.requested_attributes & set(wallet_attributes))
+        disclosed = sorted(requested & set(wallet_attributes))
     wallet_payload = canonical_payload(credential_id, scenario.owner_id, wallet_attributes)
-    emit(
-        EventKind.PRESENTED,
-        scenario.owner_id,
-        credential_id=credential_id,
-        disclosed=disclosed_keys,
-        commitment=hashlib.sha256(wallet_payload).hexdigest(),
-    )
-
     signature_ok = verify_tag(scenario.issuer_id, wallet_payload, tag)
-    emit(EventKind.SIGNATURE_VERIFIED, scenario.verifier_id, success=signature_ok)
-    emit(EventKind.REVOCATION_CHECKED, scenario.verifier_id, revoked=revoked)
+    granted = signature_ok and not revoked
 
-    if signature_ok and not revoked:
-        emit(EventKind.ACCESS_GRANTED, scenario.verifier_id, used_attributes=disclosed_keys)
-        outcome = Outcome.GRANTED
-    else:
-        emit(EventKind.ACCESS_DENIED, scenario.verifier_id)
-        outcome = Outcome.DENIED
-    return SimTrace(scenario=scenario, events=tuple(events), outcome=outcome)
+    # Each step's payload; None for a step that does not happen.
+    payloads = {
+        EventKind.CONSENT_GRANTED: (
+            None if toggles.skip_issuance_consent else {"purpose": "issuance"}
+        ),
+        EventKind.CREDENTIAL_REQUESTED: {
+            "issuer": scenario.issuer_id,
+            "attributes": sorted(scenario.attributes),
+        },
+        EventKind.SCHEMA_SELECTED: {"schema": "default-schema"},
+        EventKind.CREDENTIAL_ISSUED: {"credential_id": credential_id, "tag": tag.hex()},
+        EventKind.REVOKED: {"credential_id": credential_id} if revoked else None,
+        EventKind.PRESENTATION_REQUESTED: {"requested": sorted(requested), "purpose": "access"},
+        EventKind.PRESENTATION_CONSENT_GRANTED: (
+            None if toggles.skip_presentation_consent else {"purpose": "presentation"}
+        ),
+        EventKind.PRESENTED: {
+            "credential_id": credential_id,
+            "disclosed": disclosed,
+            "commitment": hashlib.sha256(wallet_payload).hexdigest(),
+        },
+        EventKind.SIGNATURE_VERIFIED: {"success": signature_ok},
+        EventKind.REVOCATION_CHECKED: {"revoked": revoked},
+        EventKind.ACCESS_GRANTED: {"used_attributes": disclosed} if granted else None,
+        EventKind.ACCESS_DENIED: None if granted else {},
+    }
+    role_ids = (scenario.owner_id, scenario.issuer_id, scenario.verifier_id)
+    events: list[SimEvent] = []
+    for kind, role in _LIFECYCLE:
+        payload = payloads[kind]
+        if payload is not None:
+            events.append(SimEvent(len(events) + 1, kind, role_ids[role], payload))
+    return SimTrace(scenario, tuple(events), Outcome.GRANTED if granted else Outcome.DENIED)
 
 
-#: The scenario role that must act each event kind a trace rule relies
-#: on, as an index into (owner id, verifier id). The same kind acted by
-#: anyone else is not the consent, check or disclosure a rule needs.
-_OWNER, _VERIFIER = 0, 1
-_ROLE_OF = {
-    EventKind.CONSENT_GRANTED: _OWNER,
-    EventKind.PRESENTATION_CONSENT_GRANTED: _OWNER,
-    EventKind.PRESENTED: _OWNER,
-    EventKind.SIGNATURE_VERIFIED: _VERIFIER,
-    EventKind.REVOCATION_CHECKED: _VERIFIER,
-}
 #: Each trace rule's NFR and message, in the order findings are grouped.
 _RULES = {
     "sim.nfr6.issuance": (NfrKey.NFR6, "credential issued without prior data-owner consent"),
@@ -250,8 +245,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
     issued, presented = EventKind.CREDENTIAL_ISSUED, EventKind.PRESENTED
     granted = EventKind.ACCESS_GRANTED
     scenario = trace.scenario
-    role_ids = (scenario.owner_id, scenario.verifier_id)
-    verifier = scenario.verifier_id
+    role_ids = (scenario.owner_id, scenario.issuer_id, scenario.verifier_id)
     allowed = scenario.request.requested_attributes & scenario.attributes.keys()
     latest: dict[EventKind, SimEvent] = {}
     disclosed: set[str] = set()
@@ -261,7 +255,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
         nfr, message = _RULES[rule]
         if names:
             message = f"{message}: {', '.join(sorted(names))}"
-        message = f"{nfr.name} ({kb.entry(nfr).name}): {message}"
+        message = f"{kb.label(nfr)}: {message}"
         findings.append(Finding(Severity.ERROR, rule, event.actor, message))
 
     last_seq = 0
@@ -270,8 +264,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
             raise TraceOrderError(f"event seq {event.seq} does not increase after {last_seq}")
         last_seq = event.seq
         kind = event.kind
-        role = _ROLE_OF.get(kind)
-        by_role = role is not None and event.actor == role_ids[role]
+        by_role = event.actor == role_ids[_ROLE_OF[kind]]
         if by_role:
             latest[kind] = event
         if kind is issued:
@@ -289,7 +282,7 @@ def check_trace(trace: SimTrace, kb: KnowledgeBase) -> list[Finding]:
             sig = latest.get(EventKind.SIGNATURE_VERIFIED)
             rev = latest.get(EventKind.REVOCATION_CHECKED)
             checked = sig and rev and sig.payload.get("success") and not rev.payload.get("revoked")
-            if event.actor != verifier or not checked:
+            if not by_role or not checked:
                 note("sim.nfr24.bypass", event)
             if extra := set(event.payload.get("used_attributes", ())) - disclosed:
                 note("sim.nfr19.sidechannel", event, extra)
@@ -326,8 +319,9 @@ def _parse_attributes(text: str) -> dict[str, str]:
 def _parse_toggles(text: str) -> Toggles:
     flags: dict[str, object] = {}
     for flag in filter(None, map(str.strip, text.split(","))):
-        if flag.startswith("tamper_attribute="):
-            flags["tamper_attribute"] = flag.split("=", 1)[1]
+        name, eq, value = map(str.strip, flag.partition("="))
+        if eq and name == "tamper_attribute":
+            flags[name] = value
         elif flag in _TOGGLE_FLAGS:
             flags[flag] = True
         else:

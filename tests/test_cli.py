@@ -182,10 +182,13 @@ def test_human_no_color(datadir, monkeypatch):
 
 
 def test_console_entry_point(datadir):
+    src = str(datadir.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ssiarch.cli", "stats", "--format", "json"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "stats"
@@ -206,6 +209,44 @@ def test_undecodable_input_is_exit_2(tmp_path, argv):
     assert code == 2
     assert not out
     assert err.startswith(f"ssiarch: cannot read {bad}: ")
+
+
+def test_lone_cr_in_a_model_file_is_read_as_written(tmp_path, kb):
+    from ssiarch.dsl import load_model
+
+    text = (
+        'system "x" { actor owner "a\rb" { claims: [NFR1]; } '
+        'actor issuer "i" {} actor verifier "v" {} }\n'
+    )
+    path = tmp_path / "cr.ssiarch"
+    path.write_bytes(text.encode("utf-8"))
+    result = load_model(text, kb)
+    assert result.model is not None and result.findings == []
+    code, out, err = invoke(["validate", "--model", str(path), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert [f["subject"] for f in json.loads(out)["findings"]] == ["a\rb"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "--model", "demo.ssiarch", "--format", "human"],
+        ["validate", "--model", "demo.ssiarch", "--format", "json"],
+        ["coverage", "--scope", "model", "--model", "demo.ssiarch", "--format", "markdown"],
+        ["graph", "--scope", "model", "--model", "demo.ssiarch", "--format", "dot"],
+        ["simulate", "--scenario", "demo.scenario", "--format", "human"],
+        ["simulate", "--scenario", "demo.scenario", "--format", "json"],
+        ["deps", "--kb", "extra_deps.kbx", "--format", "json"],
+    ],
+)
+def test_crlf_files_give_the_same_output(datadir, tmp_path, argv):
+    sample = next(a for a in argv if "." in a)
+    crlf = tmp_path / sample
+    crlf.write_bytes((datadir / sample).read_bytes().replace(b"\n", b"\r\n"))
+    with_lf = invoke([str(datadir / a) if a == sample else a for a in argv])
+    with_crlf = invoke([str(crlf) if a == sample else a for a in argv])
+    assert with_crlf == with_lf
+    assert with_lf[0] in (0, 1) and with_lf[1]
 
 
 def test_path_with_nul_is_exit_2():

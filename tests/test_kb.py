@@ -145,3 +145,4 @@ def test_parse_nfr_key_takes_ascii_digits_only(text):
 
 def test_parse_nfr_key_keeps_leading_zeros():
     assert parse_nfr_key("NFR007") is NfrKey.NFR7
+    assert parse_nfr_key("NFR" + "0" * 5000 + "7") is NfrKey.NFR7

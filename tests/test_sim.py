@@ -232,6 +232,15 @@ def test_load_scenarios_tamper_toggle():
     assert scenario.toggles.tamper_attribute == "b"
 
 
+def test_load_scenarios_allows_spaces_around_the_tamper_value():
+    text = (
+        "[scenario]\nissuer = i\nowner = o\nverifier = v\n"
+        "attributes = a=1, b=2\nrequest = a\ntoggles = tamper_attribute = b , over_disclose\n"
+    )
+    (scenario,) = load_scenarios(text)
+    assert scenario.toggles == Toggles(tamper_attribute="b", over_disclose=True)
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [
