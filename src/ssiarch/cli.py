@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 from ssiarch.findings import Finding, Severity
 from ssiarch.kb import DependencyRelation, KbError, KnowledgeBase, builtin_kb
-from ssiarch.report import Report, emit_human, emit_json, emit_markdown
+from ssiarch.report import CONTROL_ESCAPES, Report, emit_human, emit_json, emit_markdown
 
 # Each command imports the modules it runs, so a start-up loads only
 # those. Calls go through the module (sim.run_scenario), so a wrapper
@@ -288,7 +288,7 @@ def run(argv: list[str], out=sys.stdout, err=sys.stderr) -> int:
         _check_format(args)
         report = _HANDLERS[args.command](args, _load_kb(args.kb))
     except CliError as exc:
-        err.write(f"ssiarch: {exc}\n")
+        err.write(f"ssiarch: {str(exc).translate(CONTROL_ESCAPES)}\n")
         return EXIT_USAGE
     out.write(_emit(report, args.format))
     threshold = Severity(args.fail_on).rank

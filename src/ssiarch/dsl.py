@@ -187,17 +187,11 @@ class PatternRef:
 
 
 @dataclass
-class ClaimRef:
-    ordinal: int | None  # None: too many digits to be a known key
-    span: SourceSpan
-
-
-@dataclass
 class ActorNode:
     kind: ActorKind
     id: str
     patterns: list[PatternRef]
-    claims: list[ClaimRef]
+    claims: list[Token]  # NFRKEY tokens
     span: SourceSpan
 
 
@@ -284,10 +278,10 @@ class _Parser:
         ident = self.expect(TokenKind.STRING, "actor id string")
         self.expect(TokenKind.LBRACE, "'{'")
         patterns: list[PatternRef] = []
-        claims: list[ClaimRef] = []
+        claims: list[Token] = []
         clauses = {
             "patterns": (patterns, self.parse_pattern_ref),
-            "claims": (claims, self.parse_claim_ref),
+            "claims": (claims, lambda: self.expect(TokenKind.NFRKEY, "NFR key")),
         }
         while self.current.kind is not TokenKind.RBRACE:
             tok = self.current
@@ -325,10 +319,6 @@ class _Parser:
         self.expect(TokenKind.COLON, "':'")
         name = self.expect(TokenKind.STRING, "pattern name string")
         return PatternRef(PatternSource(tok.text), str(name.value), tok.span)
-
-    def parse_claim_ref(self) -> ClaimRef:
-        tok = self.expect(TokenKind.NFRKEY, "NFR key")
-        return ClaimRef(tok.value, tok.span)  # type: ignore[arg-type]
 
     def parse_wallet(self) -> WalletDecl:
         start = self.expect_kw("wallet").span
@@ -401,55 +391,53 @@ class ResolveResult:
 
 def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
     """Resolve identifier references, validate claims and patterns, and
-    enforce model invariants. Unknown pattern names are warnings (the
+    enforce model invariants. An id's first declaration, actors before
+    wallets, fixes its kind. Unknown pattern names are warnings (the
     complete pattern catalogs live in extension files)."""
     findings: list[Finding] = []
 
-    def error(rule: str, subject: str, message: str, span: SourceSpan) -> None:
-        findings.append(Finding(Severity.ERROR, rule, subject, message, span))
+    def note(rule: str, subject: str, message: str, span: SourceSpan, severity=Severity.ERROR):
+        findings.append(Finding(severity, rule, subject, message, span))
 
-    ids: dict[str, ActorNode | WalletDecl] = {}
-    for node in [*tree.actors, *tree.wallets]:
-        if node.id in ids:
+    kind_of: dict[str, ActorKind] = {}
+    declared = [(a, a.kind) for a in tree.actors] + [(w, ActorKind.WALLET) for w in tree.wallets]
+    for node, kind in declared:
+        if node.id in kind_of:
             message = f"id {node.id!r} is declared more than once"
-            error("model.duplicate-id", node.id, message, node.span)
+            note("model.duplicate-id", node.id, message, node.span)
         else:
-            ids[node.id] = node
+            kind_of[node.id] = kind
         if node.id == GLOBAL_SYSTEM_ID:
             message = f"id {node.id!r} is reserved for the global system"
-            error("model.duplicate-id", node.id, message, node.span)
+            note("model.duplicate-id", node.id, message, node.span)
 
+    actor_kinds = {a.kind for a in tree.actors}
     for kind in PRIMARY_ACTORS:
-        if not any(a.kind == kind for a in tree.actors):
+        if kind not in actor_kinds:
             message = f"model declares no {kind.long_name} actor"
-            error("model.missing-actor", kind.long_name, message, tree.span)
+            note("model.missing-actor", kind.long_name, message, tree.span)
 
-    def nfr_key(ordinal: int | None, subject: str, span: SourceSpan) -> NfrKey | None:
+    def nfr_key(ordinal: int | None, subject: str, where: Token | DepNode) -> NfrKey | None:
         try:
             return NfrKey(ordinal)
         except ValueError:
             name = "NFR key with that many digits" if ordinal is None else f"NFR{ordinal}"
-            error("model.unknown-nfr", subject, f"{name} is not a known NFR key", span)
+            note("model.unknown-nfr", subject, f"{name} is not a known NFR key", where.span)
             return None
 
     actors: list[ActorDecl] = []
     for node in tree.actors:
-        keys = (nfr_key(claim.ordinal, node.id, claim.span) for claim in node.claims)
+        keys = (nfr_key(claim.value, node.id, claim) for claim in node.claims)
         claims = {key for key in keys if key is not None}
         patterns: set[tuple[PatternSource, str]] = set()
         for ref in node.patterns:
             patterns.add((ref.source, ref.name))
             if kb.find_pattern(ref.source, ref.name) is None:
-                findings.append(
-                    Finding(
-                        Severity.WARNING,
-                        "model.unknown-pattern",
-                        node.id,
-                        f"pattern {ref.name!r} is not in catalog {ref.source.value} "
-                        "of the loaded knowledge base",
-                        ref.span,
-                    )
+                message = (
+                    f"pattern {ref.name!r} is not in catalog {ref.source.value} "
+                    "of the loaded knowledge base"
                 )
+                note("model.unknown-pattern", node.id, message, ref.span, Severity.WARNING)
         actors.append(
             ActorDecl(
                 kind=node.kind,
@@ -464,42 +452,30 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
     wallets: list[WalletDecl] = []
     owners_with_wallet: set[str] = set()
     for node in tree.wallets:
-        target = ids.get(node.owner_ref)
-        if not isinstance(target, ActorNode) or target.kind != ActorKind.DATA_OWNER:
+        if kind_of.get(node.owner_ref) is not ActorKind.DATA_OWNER:
             message = (
                 f"wallet {node.id!r} is bound to {node.owner_ref!r}, "
                 "which is not a declared data owner"
             )
-            error("model.unresolved-ref", node.id, message, node.span)
-            continue
-        if node.owner_ref in owners_with_wallet:
+            note("model.unresolved-ref", node.id, message, node.span)
+        elif node.owner_ref in owners_with_wallet:
             message = f"data owner {node.owner_ref!r} already has a wallet"
-            error("model.duplicate-wallet", node.id, message, node.span)
-            continue
-        owners_with_wallet.add(node.owner_ref)
-        wallets.append(node)
-
-    def kind_of(ref: str) -> ActorKind | None:
-        target = ids.get(ref)
-        if isinstance(target, ActorNode):
-            return target.kind
-        if isinstance(target, WalletDecl):
-            return ActorKind.WALLET
-        return None
+            note("model.duplicate-wallet", node.id, message, node.span)
+        else:
+            owners_with_wallet.add(node.owner_ref)
+            wallets.append(node)
 
     deps: set[DependencyRelation] = set()
     for node in tree.deps:
-        depender = kind_of(node.depender_ref)
-        dependee = kind_of(node.dependee_ref)
-        bad = False
-        for ref, kind in ((node.depender_ref, depender), (node.dependee_ref, dependee)):
-            if kind is None:
-                message = f"dependency references undeclared id {ref!r}"
-                error("model.unresolved-ref", ref, message, node.span)
-                bad = True
-        if bad:
+        depender = kind_of.get(node.depender_ref)
+        dependee = kind_of.get(node.dependee_ref)
+        if depender is None or dependee is None:
+            for ref in (node.depender_ref, node.dependee_ref):
+                if ref not in kind_of:
+                    message = f"dependency references undeclared id {ref!r}"
+                    note("model.unresolved-ref", ref, message, node.span)
             continue
-        nfr = nfr_key(node.ordinal, node.depender_ref, node.span)
+        nfr = nfr_key(node.ordinal, node.depender_ref, node)
         if nfr is None:
             continue
         if depender == dependee:
@@ -507,16 +483,9 @@ def resolve(tree: ModelNode, kb: KnowledgeBase) -> ResolveResult:
                 f"dependency endpoints {node.depender_ref!r} and "
                 f"{node.dependee_ref!r} resolve to the same actor kind"
             )
-            error("model.self-dependency", node.depender_ref, message, node.span)
+            note("model.self-dependency", node.depender_ref, message, node.span)
             continue
-        deps.add(
-            DependencyRelation(
-                depender=depender,  # type: ignore[arg-type]
-                dependee=dependee,  # type: ignore[arg-type]
-                nfr=nfr,
-                provenance=Provenance.EXTENSION,
-            )
-        )
+        deps.add(DependencyRelation(depender, dependee, nfr, provenance=Provenance.EXTENSION))
 
     if any(f.severity is Severity.ERROR for f in findings):
         return ResolveResult(model=None, findings=findings)

@@ -46,10 +46,11 @@ class Record:
 
 
 def parse_records(text: str) -> list[Record]:
-    """Line-oriented reader shared by extension and scenario files."""
+    """Line-oriented reader shared by extension and scenario files. Only
+    LF ends a line, as in the DSL; the CR of a CRLF is trailing space."""
     records: list[Record] = []
     current: Record | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
             continue

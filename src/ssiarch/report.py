@@ -153,8 +153,8 @@ _COLORS = {
 }
 _RESET = "\x1b[0m"
 #: C0, DEL and C1 control characters as `\xNN`, so that no subject or
-#: message can end a human line or drive the terminal.
-_CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
+#: message can end a human line or an error line, or drive the terminal.
+CONTROL_ESCAPES = {c: f"\\x{c:02x}" for c in (*range(0x20), *range(0x7F, 0xA0))}
 
 
 def emit_human(report: Report, color: bool = True) -> str:
@@ -167,7 +167,7 @@ def emit_human(report: Report, color: bool = True) -> str:
             label = f"{_COLORS[f.severity]}{label}{_RESET}"
         text = f"[{f.rule}] {f.subject}{where}: {f.message}"
         if not text.isprintable():
-            text = text.translate(_CONTROL_ESCAPES)
+            text = text.translate(CONTROL_ESCAPES)
         lines.append(f"  {label} {text}")
     if not findings:
         lines.append("  no findings")

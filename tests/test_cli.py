@@ -456,3 +456,18 @@ def test_human_escapes_c0_del_and_c1():
     finding = Finding(Severity.ERROR, "claims.ok", "a\x7fb\x9bc\x85", "m\x00\tn")
     out = emit_human(Report("validate", (finding,), {}), color=False)
     assert out.splitlines()[1] == "  error [claims.ok] a\\x7fb\\x9bc\\x85: m\\x00\\x09n"
+
+
+def test_stderr_escapes_control_characters(tmp_path):
+    # The record header is quoted verbatim in the error message.
+    kbx = tmp_path / "x.kbx"
+    kbx.write_text("[x\x1b[2Jy]\n", encoding="utf-8")
+    code, out, err = invoke(["deps", "--kb", str(kbx)])
+    assert code == 2
+    assert not out
+    assert err.endswith(": line 1, col 1: unknown record type [x\\x1b[2Jy]\n")
+    assert err[:-1].isprintable()
+    code, out, err = invoke(["validate", "--model", str(tmp_path / "no\nsuch\x9b")])
+    assert code == 2
+    assert err.endswith("no\\x0asuch\\x9b: No such file or directory\n")
+    assert err[:-1].isprintable()

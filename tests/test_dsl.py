@@ -15,8 +15,9 @@ from ssiarch.dsl import (
 )
 from ssiarch.findings import Severity
 from ssiarch.kb import ActorKind, NfrKey
-from model_gen import mutate_text, random_model
+from model_gen import mutate_text, random_model, resolve_edited_text
 from reference_lexer import reference_tokenize
+from reference_resolve import reference_resolve
 
 MINIMAL = """
 system "campus" {
@@ -357,3 +358,17 @@ def test_tokenize_memory_per_token(kb):
         tracemalloc.stop()
     assert len(tokens) > 10_000
     assert peak / len(tokens) < 180
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_resolve_agrees_with_the_reference(kb, seed):
+    """Models with duplicate and reserved ids, bad wallet bindings, unknown
+    NFR keys and patterns, bad `depends` lines and missing kinds resolve
+    to the reference's model and findings, in the same order."""
+    text = resolve_edited_text(random.Random(seed), kb)
+    result = load_model(text, kb)
+    expected = reference_resolve(parse(tokenize(text)), kb)
+    assert result == expected
+    # repr also shows the declaration spans that model equality ignores.
+    assert repr(result) == repr(expected)

@@ -220,3 +220,18 @@ def test_load_extension_raises_only_extension_error(text):
         load_extension(text)
     except ExtensionError:
         pass
+
+
+@pytest.mark.parametrize(
+    "mark", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r"]
+)
+def test_record_lines_end_at_lf_only(mark):
+    """Only LF ends a record line, as in the DSL: any other line break
+    that `str.splitlines` knows stays in the value, and a later error
+    is reported at its line counted by LFs."""
+    text = f"[dependency]\nnfr = NFR7\ndepender = v\ndependee = o\nrationale = a{mark}b\n"
+    (rel,) = load_extension(text).dependencies
+    assert rel.rationale == f"a{mark}b"
+    with pytest.raises(ExtensionError) as exc:
+        load_extension(text + "\n[pattern]\nname = X\nsource = C\nnfrs = NFR1\n")
+    assert exc.value.line == 9

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ssiarch import sim
 from ssiarch.extension import ExtensionError
 from ssiarch.sim import (
     EventKind,
@@ -239,6 +240,20 @@ def test_load_scenarios_allows_spaces_around_the_tamper_value():
     )
     (scenario,) = load_scenarios(text)
     assert scenario.toggles == Toggles(tamper_attribute="b", over_disclose=True)
+
+
+def test_load_scenarios_keeps_a_separator_character_in_a_value():
+    """An FS (U+001C) is not a line break in a scenario file: it stays in
+    the attribute value, and a later error counts lines by LF."""
+    text = (
+        "[scenario]\nissuer = i\nowner = o\nverifier = v\n"
+        "attributes = a=1\x1c2, b=2\nrequest = a\n"
+    )
+    (scenario,) = load_scenarios(text)
+    assert scenario.attributes == {"a": "1\x1c2", "b": "2"}
+    with pytest.raises(ExtensionError) as exc:
+        load_scenarios(text + "[wallet]\n")
+    assert exc.value.line == 7
 
 
 @pytest.mark.parametrize(
@@ -601,6 +616,52 @@ def test_check_trace_agrees_with_the_reference(kb, mutations):
     for number in range(len(_TOGGLE_TRACES)):
         forged = _mutated(number, mutations)
         assert check_trace(forged, kb) == reference_check_trace(forged, kb)
+
+
+#: When a lifecycle step happens, given the toggles and whether access is
+#: granted, as README's step table states it; every other step always does.
+_HAPPENS = {
+    EventKind.CONSENT_GRANTED: lambda t, granted: not t.skip_issuance_consent,
+    EventKind.REVOKED: lambda t, granted: t.revoke_before_presentation,
+    EventKind.PRESENTATION_CONSENT_GRANTED: lambda t, granted: not t.skip_presentation_consent,
+    EventKind.ACCESS_GRANTED: lambda t, granted: granted,
+    EventKind.ACCESS_DENIED: lambda t, granted: not granted,
+}
+
+
+@pytest.mark.parametrize("requested", [("degree",), ("degree", "name", "year")])
+@pytest.mark.parametrize("bits", list(itertools.product((False, True), repeat=len(_FLAGS) + 1)))
+def test_toggle_traces_follow_the_lifecycle_table(kb, bits, requested):
+    """Each of the 32 toggle traces, worked out from `sim._LIFECYCLE` and
+    README's rule table alone: its events and their actors' roles, its
+    outcome, and the rules it breaks. A skipped consent fires its NFR6
+    rule, over-disclosure fires only when the request is a strict subset
+    of the attributes, and tampering and revocation only deny access."""
+    *flags, tamper = bits
+    toggles = Toggles(tamper_attribute="degree" if tamper else None, **dict(zip(_FLAGS, flags)))
+    scenario = base_scenario(requested=requested, toggles=toggles)
+    granted = not tamper and not toggles.revoke_before_presentation
+    role_ids = (scenario.owner_id, scenario.issuer_id, scenario.verifier_id)
+    events = [
+        (kind, role_ids[role])
+        for kind, role in sim._LIFECYCLE
+        if _HAPPENS.get(kind, lambda t, granted: True)(toggles, granted)
+    ]
+    over_disclosed = toggles.over_disclose and set(requested) < scenario.attributes.keys()
+    rules = [
+        rule
+        for rule, fires in (
+            ("sim.nfr6.issuance", toggles.skip_issuance_consent),
+            ("sim.nfr6.presentation", toggles.skip_presentation_consent),
+            ("sim.nfr14.overdisclosure", over_disclosed),
+        )
+        if fires
+    ]
+    trace = run_scenario(scenario)
+    assert [(e.kind, e.actor) for e in trace.events] == events
+    assert [e.seq for e in trace.events] == list(range(1, len(events) + 1))
+    assert trace.outcome is (Outcome.GRANTED if granted else Outcome.DENIED)
+    assert [f.rule for f in check_trace(trace, kb)] == rules
 
 
 if __name__ == "__main__":
