@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from ssiarch.findings import Finding, Severity
 from ssiarch.kb import DependencyRelation, KbError, KnowledgeBase, builtin_kb
@@ -245,8 +245,21 @@ def _emit(report: Report, fmt: str) -> str:
     return emit_human(report, color=os.environ.get("SSIARCH_NO_COLOR") is None)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+class _Parser(argparse.ArgumentParser):
+    """Writes help to `out`, and raises a usage error as a CliError, which
+    `run` writes to `err` like every other input error."""
+
+    out = sys.stdout
+
+    def print_help(self, file=None) -> None:
+        self.out.write(self.format_help())
+
+    def error(self, message: str) -> NoReturn:
+        raise CliError(message)
+
+
+def build_parser(out=sys.stdout) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="ssiarch",
         description="Actor-oriented NFR analysis for DI/SSI architectures.",
     )
@@ -276,17 +289,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scope", choices=["kb", "model"], default="kb")
     parser.add_argument("--diff", action="store_true", help="deps: diff against derivation")
     parser.add_argument("--scenario", help="scenario file for simulate")
+    parser.out = out
     return parser
 
 
 def run(argv: list[str], out=sys.stdout, err=sys.stderr) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_OK
-    try:
+        args = build_parser(out).parse_args(argv)
         _check_format(args)
         report = _HANDLERS[args.command](args, _load_kb(args.kb))
+    except SystemExit as exc:  # from --help, once the help is written
+        return EXIT_USAGE if exc.code else EXIT_OK
     except CliError as exc:
         err.write(f"ssiarch: {str(exc).translate(CONTROL_ESCAPES)}\n")
         return EXIT_USAGE

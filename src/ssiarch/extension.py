@@ -47,29 +47,31 @@ class Record:
 
 def parse_records(text: str) -> list[Record]:
     """Line-oriented reader shared by extension and scenario files. Only
-    LF ends a line, as in the DSL; the CR of a CRLF is trailing space."""
+    LF ends a line, as in the DSL; the CR of a CRLF is trailing space.
+    A key and its value are stripped once, as parts of the stripped line."""
     records: list[Record] = []
     current: Record | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
-            continue
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if "#" in line:
+            line = line[: line.index("#")]
         stripped = line.strip()
-        if stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ExtensionError("unterminated record header", lineno, len(line))
-            current = Record(header=stripped[1:-1].strip(), line=lineno)
+        if not stripped:
+            continue
+        if stripped[0] == "[":
+            if stripped[-1] != "]":
+                raise ExtensionError("unterminated record header", lineno, len(line.rstrip()))
+            current = Record(stripped[1:-1].strip(), lineno)
             records.append(current)
             continue
-        if "=" not in stripped:
+        key, eq, value = stripped.partition("=")
+        if not eq:
             raise ExtensionError("expected 'key = value'", lineno)
         if current is None:
             raise ExtensionError("field outside any record", lineno)
-        key, _, value = stripped.partition("=")
-        key = key.strip()
+        key = key.rstrip()
         if key in current.fields:
             raise ExtensionError(f"duplicate key {key!r} in record", lineno)
-        current.fields[key] = (value.strip(), lineno)
+        current.fields[key] = (value.lstrip(), lineno)
     return records
 
 
@@ -90,10 +92,10 @@ def read_fields(
     for key, (_, lineno) in record.fields.items():
         if key not in required and key not in optional:
             raise ExtensionError(f"unknown key {key!r} in [{record.header}]", lineno)
-    missing = sorted(key for key in required if key not in record.fields)
+    missing = [key for key in required if key not in record.fields]
     if missing:
         raise ExtensionError(
-            f"missing keys in [{record.header}]: {', '.join(missing)}", record.line
+            f"missing keys in [{record.header}]: {', '.join(sorted(missing))}", record.line
         )
     return record.fields
 

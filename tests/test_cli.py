@@ -471,3 +471,18 @@ def test_stderr_escapes_control_characters(tmp_path):
     assert code == 2
     assert err.endswith("no\\x0asuch\\x9b: No such file or directory\n")
     assert err[:-1].isprintable()
+
+
+def test_usage_errors_and_help_use_the_given_streams(capsys):
+    """argparse's own messages go through `run`'s streams, never the
+    process's: a usage error to `err` as one escaped `ssiarch:` line
+    (exit 2), and `--help` to `out` (exit 0)."""
+    code, out, err = invoke(["stats", "x\x1b[2Jy"])
+    assert code == 2
+    assert not out
+    assert err == "ssiarch: unrecognized arguments: x\\x1b[2Jy\n"
+    code, out, err = invoke(["--help"])
+    assert code == 0
+    assert out.startswith("usage: ssiarch") and "--scenario" in out
+    assert not err
+    assert capsys.readouterr() == ("", "")

@@ -8,6 +8,7 @@ from ssiarch.extension import (
     MergeCollisionError,
     load_extension,
     merge,
+    parse_records,
 )
 from ssiarch.kb import (
     ActorKind,
@@ -19,6 +20,7 @@ from ssiarch.kb import (
 )
 
 from model_gen import record_field
+from reference_records import reference_parse_records
 
 SINGLE_DEP = """
 [dependency]
@@ -235,3 +237,59 @@ def test_record_lines_end_at_lf_only(mark):
     with pytest.raises(ExtensionError) as exc:
         load_extension(text + "\n[pattern]\nname = X\nsource = C\nnfrs = NFR1\n")
     assert exc.value.line == 9
+
+
+#: Record lines that parse: headers, fields with `=` or `#` in the value,
+#: comments and blank lines.
+_GOOD_RECORD_PIECES = [
+    "[dependency]", "[ pattern ]", "[ ]", "[]", "[a]]", "[p]#x]", "[k = v]", "k = v", "i=v=w",
+    "j = a#b", "p = v # note", "m = a#b # c", "n =", " = v", "l = [x]", "o\x85=\u2028v", "# note",
+    "#", "",
+]
+#: Record lines that do not: unterminated headers, no `=`, a `#` before `]`,
+#: and a key that the lines above may already hold.
+_BAD_RECORD_PIECES = ["[scenario", "[", "]", "[#]", "[a] b", "k", "k # = v", "k\t= w"]
+_ALL_PIECES = st.sampled_from(_GOOD_RECORD_PIECES + _BAD_RECORD_PIECES)
+_RECORD_PIECE = st.one_of(
+    _ALL_PIECES,
+    st.text(st.sampled_from("[]=# kvx\t\r\x1c\x85\u2028"), max_size=8),
+    st.text(max_size=8),
+)
+#: Whitespace that `str.strip` removes, a CR before the LF among it.
+_RECORD_SPACE = st.text(st.sampled_from(" \t\r\v\f\x1c\x1f\x85\xa0\u2028\u3000"), max_size=2)
+
+
+def _record_line(piece):
+    return st.tuples(_RECORD_SPACE, piece, _RECORD_SPACE).map("".join)
+
+
+#: Any mix of lines (duplicate keys and fields before any header among
+#: them), and a record of distinct lines that parse, then up to two more
+#: lines that may repeat a key or not parse.
+_RECORD_TEXT = st.one_of(
+    st.lists(_record_line(_RECORD_PIECE), max_size=12).map("\n".join),
+    st.tuples(
+        st.lists(st.sampled_from(_GOOD_RECORD_PIECES), unique=True, max_size=10).flatmap(
+            lambda pieces: st.tuples(*map(_record_line, map(st.just, pieces)))
+        ),
+        st.lists(_record_line(_ALL_PIECES), max_size=2),
+    ).map(lambda parts: "\n".join(["[r]", *parts[0], *parts[1]])),
+)
+
+
+def _records_or_error(parse, text):
+    try:
+        return parse(text)
+    except ExtensionError as exc:
+        return (str(exc), exc.line, exc.column)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_RECORD_TEXT)
+def test_parse_records_agrees_with_the_reference(text):
+    """The same records, or the same error at the same line and column,
+    for record-like text: duplicate keys, fields before any header, CRLF
+    endings and Unicode whitespace included."""
+    assert _records_or_error(parse_records, text) == _records_or_error(
+        reference_parse_records, text
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ssiarch.sim import (
     SimTrace,
     Toggles,
     TraceOrderError,
+    canonical_payload,
     check_trace,
     export_trace,
     load_scenarios,
@@ -67,6 +69,48 @@ def test_verify_semantics():
     assert verify_tag("uni", b"data", tag)
     assert not verify_tag("uni", b"datA", tag)
     assert not verify_tag("uno", b"data", tag)
+
+
+def reference_payload(credential_id, subject_id, attributes):
+    """`canonical_payload` as compact `json.dumps`: the bytes every tag
+    and commitment has been computed over."""
+    doc = {"id": credential_id, "subject": subject_id, "attributes": list(attributes.items())}
+    return json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
+
+#: Any text, lone surrogates included, with quotes, backslashes, C0/C1
+#: controls and non-BMP characters drawn often.
+_ANY_TEXT = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.text(st.sampled_from('"\\\x00\x1f\x7f\x85\x9f\u2028\ud800\udfff\xe9\U0001f600a=,/')),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ANY_TEXT, st.dictionaries(_ANY_TEXT, _ANY_TEXT, max_size=5))
+def test_canonical_payload_is_compact_json(owner, attributes):
+    expected = reference_payload("cred-1", owner, attributes)
+    payload = canonical_payload("cred-1", owner, attributes)
+    assert payload == expected
+    assert tag_of("uni", payload) == tag_of("uni", expected)
+    assert verify_tag("uni", expected, tag_of("uni", payload))
+
+
+@pytest.mark.parametrize("tamper, serializations", [(None, 1), ("year", 2)])
+def test_run_scenario_serializes_only_a_changed_body(monkeypatch, tamper, serializations):
+    """The wallet's copy is serialized again only when it differs from the
+    issued body; the verifier recomputes the tag either way."""
+    calls = {"canonical_payload": 0, "tag_of": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(sim, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sim, name, counted)
+    trace = run_scenario(base_scenario(toggles=Toggles(tamper_attribute=tamper)))
+    assert calls == {"canonical_payload": serializations, "tag_of": 2}
+    sig = next(e for e in trace.events if e.kind is EventKind.SIGNATURE_VERIFIED)
+    assert sig.payload["success"] is (tamper is None)
+    assert trace.outcome is (Outcome.GRANTED if tamper is None else Outcome.DENIED)
 
 
 def test_happy_path():
